@@ -14,12 +14,10 @@ pub mod experiments;
 pub mod regression;
 pub mod runner;
 pub mod table;
-pub mod trace;
 
 pub use cost::{CostModel, SystemCost};
 pub use runner::{measure_system, Measurement};
 pub use table::Table;
-pub use trace::per_stage_json;
 
 /// Bytes of log generated per log type (default 1 MiB; override with
 /// `LOGGREP_BENCH_BYTES`).

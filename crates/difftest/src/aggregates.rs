@@ -2,9 +2,9 @@
 //!
 //! Each case generates an adversarial multi-block log ([`crate::genlog`]),
 //! optionally a filter query, and one aggregate verb, then runs it through
-//! every LogGrep engine configuration of the §6.3 matrix at every thread
-//! count and compares the merged result against a naive oracle computed
-//! from the raw lines alone:
+//! every LogGrep engine configuration of the §6.3 matrix (compressed at
+//! every thread count, queried once) and compares the merged result
+//! against a naive oracle computed from the raw lines alone:
 //!
 //! * `count` counts oracle-matched lines;
 //! * `count-by-template` re-derives the static templates with a plain
@@ -19,7 +19,7 @@
 //! and with the query cache on, a repeated aggregate must hit the cache
 //! and return the identical result.
 
-use crate::harness::{block_bytes, engine_matrix};
+use crate::harness::{block_bytes, compress_at_each_thread_count, engine_matrix};
 use crate::oracle;
 use crate::query::QueryAst;
 use crate::{case_seed, genlog};
@@ -225,7 +225,8 @@ fn pick_spec(rng: &mut StdRng, first: &OracleBlock<'_>) -> AggSpec {
 }
 
 /// Runs one aggregate case: generated blocks, an optional filter, one
-/// verb, every engine config at every thread count, against the oracle.
+/// verb, every engine config (compressed at every thread count, queried
+/// once), against the oracle.
 pub fn run_case(seed: u64, case: u64, threads: &[usize]) -> Outcome {
     let mut rng = StdRng::seed_from_u64(case_seed(seed, case) ^ 0xa66);
     let blocks = genlog::generate_blocks(&mut rng);
@@ -249,110 +250,103 @@ pub fn run_case(seed: u64, case: u64, threads: &[usize]) -> Outcome {
         decompression_checks: 0,
     };
 
-    'matrix: for (label, base) in engine_matrix() {
-        for &t in threads {
-            let mut config = base.clone();
-            config.threads = t;
-            let tag = format!("{label} t={t}");
-            let use_cache = config.use_query_cache;
-            let engine = LogGrep::new(config);
-            let mut merged = AggResult::empty(&spec);
-            let mut offset = 0u64;
-            let mut worst: Option<loggrep::AggLayer> = None;
-            for (bi, block) in blocks.iter().enumerate() {
-                let raw = block_bytes(block);
-                let archive = match engine
-                    .compress(&raw)
-                    .map_err(|e| e.to_string())
-                    .and_then(|boxed| {
-                        loggrep::CapsuleBox::from_bytes(&boxed.to_bytes())
-                            .map(|b| engine.open(b))
-                            .map_err(|e| e.to_string())
-                    }) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        outcome.disagreement = Some(format!("{tag}: block {bi}: {e}"));
-                        break 'matrix;
-                    }
-                };
-                let fail = |detail: String| Some(format!("{tag}: block {bi}: {detail}"));
-                let predicted = match archive.explain_agg(filter, &spec) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        outcome.disagreement = fail(format!("explain_agg failed: {e}"));
-                        break 'matrix;
-                    }
-                };
-                let r = match archive.query_agg_at(filter, &spec, offset) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        outcome.disagreement = fail(format!("query_agg failed: {e}"));
-                        break 'matrix;
-                    }
-                };
-                // Pushdown contract: metadata verbs decompress nothing
-                // when unfiltered; top-K stays within the predicted
-                // layer's bound (checked via the drift report for all).
-                if filter.is_none() {
-                    outcome.decompression_checks += 1;
-                    let bound = match predicted {
-                        loggrep::AggLayer::Metadata => Some(0),
-                        loggrep::AggLayer::Dictionary => Some(1),
-                        _ => None,
-                    };
-                    if let Some(bound) = bound {
-                        if r.stats.capsules_decompressed > bound {
-                            outcome.disagreement = fail(format!(
-                                "predicted {predicted} but decompressed {} capsule(s)",
-                                r.stats.capsules_decompressed
-                            ));
-                            break 'matrix;
-                        }
-                    }
-                }
-                let drift = AggDrift::new(predicted, filter.is_some(), &r.stats);
-                if !drift.consistent() {
-                    outcome.disagreement = fail(format!("aggregate drift out of bounds: {drift}"));
+    'matrix: for (tag, config) in engine_matrix() {
+        let engine = LogGrep::new(config);
+        let config = engine.config();
+        let use_cache = config.use_query_cache;
+        let mut merged = AggResult::empty(&spec);
+        let mut offset = 0u64;
+        let mut worst: Option<loggrep::AggLayer> = None;
+        for (bi, block) in blocks.iter().enumerate() {
+            let archive = match compress_at_each_thread_count(config, threads, &block_bytes(block))
+                .and_then(|bytes| {
+                    loggrep::CapsuleBox::from_bytes(&bytes)
+                        .map(|b| engine.open(b))
+                        .map_err(|e| e.to_string())
+                }) {
+                Ok(a) => a,
+                Err(e) => {
+                    outcome.disagreement = Some(format!("{tag}: block {bi}: {e}"));
                     break 'matrix;
                 }
-                // Cache contract: a repeat is a hit iff the cache is on,
-                // and the cached answer is identical either way.
-                let repeat = match archive.query_agg_at(filter, &spec, offset) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        outcome.disagreement = fail(format!("repeat failed: {e}"));
+            };
+            let fail = |detail: String| Some(format!("{tag}: block {bi}: {detail}"));
+            let predicted = match archive.explain_agg(filter, &spec) {
+                Ok(p) => p,
+                Err(e) => {
+                    outcome.disagreement = fail(format!("explain_agg failed: {e}"));
+                    break 'matrix;
+                }
+            };
+            let r = match archive.query_agg_at(filter, &spec, offset) {
+                Ok(r) => r,
+                Err(e) => {
+                    outcome.disagreement = fail(format!("query_agg failed: {e}"));
+                    break 'matrix;
+                }
+            };
+            // Pushdown contract: metadata verbs decompress nothing
+            // when unfiltered; top-K stays within the predicted
+            // layer's bound (checked via the drift report for all).
+            if filter.is_none() {
+                outcome.decompression_checks += 1;
+                let bound = match predicted {
+                    loggrep::AggLayer::Metadata => Some(0),
+                    loggrep::AggLayer::Dictionary => Some(1),
+                    _ => None,
+                };
+                if let Some(bound) = bound {
+                    if r.stats.capsules_decompressed > bound {
+                        outcome.disagreement = fail(format!(
+                            "predicted {predicted} but decompressed {} capsule(s)",
+                            r.stats.capsules_decompressed
+                        ));
                         break 'matrix;
                     }
-                };
-                if repeat.stats.cache_hit != use_cache {
-                    outcome.disagreement = fail(format!(
-                        "repeat cache_hit = {} with the cache {}",
-                        repeat.stats.cache_hit,
-                        if use_cache { "on" } else { "off" }
-                    ));
-                    break 'matrix;
                 }
-                if repeat.agg != r.agg {
-                    outcome.disagreement =
-                        fail("cached aggregate differs from the cold one".to_string());
-                    break 'matrix;
-                }
-                worst = worst.max(r.stats.agg_layer);
-                if let Err(e) = merged.merge(&r.agg) {
-                    outcome.disagreement = fail(format!("merge failed: {e}"));
-                    break 'matrix;
-                }
-                offset += u64::from(archive.total_lines());
             }
-            if outcome.layer == "none" {
-                outcome.layer = worst.map_or("metadata", |l| l.name());
+            let drift = AggDrift::new(predicted, filter.is_some(), &r.stats);
+            if !drift.consistent() {
+                outcome.disagreement = fail(format!("aggregate drift out of bounds: {drift}"));
+                break 'matrix;
             }
-            if merged != want {
-                outcome.disagreement = Some(format!(
-                    "{tag}: `{spec}` filter {filter:?}: engine {merged:?} vs oracle {want:?}"
+            // Cache contract: a repeat is a hit iff the cache is on,
+            // and the cached answer is identical either way.
+            let repeat = match archive.query_agg_at(filter, &spec, offset) {
+                Ok(r) => r,
+                Err(e) => {
+                    outcome.disagreement = fail(format!("repeat failed: {e}"));
+                    break 'matrix;
+                }
+            };
+            if repeat.stats.cache_hit != use_cache {
+                outcome.disagreement = fail(format!(
+                    "repeat cache_hit = {} with the cache {}",
+                    repeat.stats.cache_hit,
+                    if use_cache { "on" } else { "off" }
                 ));
                 break 'matrix;
             }
+            if repeat.agg != r.agg {
+                outcome.disagreement =
+                    fail("cached aggregate differs from the cold one".to_string());
+                break 'matrix;
+            }
+            worst = worst.max(r.stats.agg_layer);
+            if let Err(e) = merged.merge(&r.agg) {
+                outcome.disagreement = fail(format!("merge failed: {e}"));
+                break 'matrix;
+            }
+            offset += u64::from(archive.total_lines());
+        }
+        if outcome.layer == "none" {
+            outcome.layer = worst.map_or("metadata", |l| l.name());
+        }
+        if merged != want {
+            outcome.disagreement = Some(format!(
+                "{tag}: `{spec}` filter {filter:?}: engine {merged:?} vs oracle {want:?}"
+            ));
+            break 'matrix;
         }
     }
     outcome

@@ -2,9 +2,12 @@
 //!
 //! [`Harness::check`] runs a [`Case`] through every engine in
 //! [`baselines::LogGrepSystem`] — the full system, LogGrep-SP, and each
-//! §6.3 ablation — at every configured thread count, plus the non-LogGrep
-//! baselines, and compares every result against the naive [`crate::oracle`].
-//! On top of exact line-set equality it asserts cross-cutting invariants:
+//! §6.3 ablation — plus the non-LogGrep baselines, and compares every
+//! result against the naive [`crate::oracle`]. Each LogGrep config
+//! compresses at every configured thread count (the write side is what
+//! threads change) and is opened and queried once: reads are serial per
+//! block. On top of exact line-set equality it asserts cross-cutting
+//! invariants:
 //!
 //! * serialized archives are **byte-identical across thread counts**;
 //! * `QueryStats` sanity: `capsules_decompressed ≤ capsules_total`,
@@ -17,14 +20,13 @@
 
 use crate::corpus::Case;
 use crate::oracle;
-use baselines::{Clp, GzipGrep, LogGrepSystem, LogSystem, MiniEs};
-use loggrep::LogGrepConfig;
-use std::collections::HashMap;
+use baselines::{Clp, GzipGrep, LogSystem, MiniEs};
+use loggrep::{LogGrep, LogGrepConfig};
 
 /// One differential failure: which engine disagreed and how.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Engine label plus thread count, e.g. `LogGrep[w/o fixed] t=4`.
+    /// Engine label, e.g. `LogGrep[w/o fixed]`.
     pub engine: String,
     /// Human-readable mismatch description.
     pub detail: String,
@@ -38,7 +40,7 @@ impl std::fmt::Display for Failure {
 
 /// The engine matrix and its invariant checks.
 pub struct Harness {
-    /// Worker-pool sizes each LogGrep config runs at.
+    /// Worker-pool sizes each LogGrep config compresses at.
     pub threads: Vec<usize>,
     /// Also run the non-LogGrep baselines (gzip+grep, CLP, mini-ES).
     pub with_baselines: bool,
@@ -80,6 +82,35 @@ pub fn engine_matrix() -> Vec<(&'static str, LogGrepConfig)> {
     ]
 }
 
+/// Compresses `raw` under `config` at every thread count in `threads` and
+/// returns the serialized archive, which must be a pure function of
+/// (input, config), never of scheduling.
+pub fn compress_at_each_thread_count(
+    config: &LogGrepConfig,
+    threads: &[usize],
+    raw: &[u8],
+) -> Result<Vec<u8>, String> {
+    let mut reference: Option<Vec<u8>> = None;
+    for &threads in threads {
+        let engine = LogGrep::new(LogGrepConfig {
+            threads,
+            ..config.clone()
+        });
+        let bytes = engine
+            .compress(raw)
+            .map_err(|e| format!("compress failed at {threads} thread(s): {e}"))?
+            .to_bytes();
+        match &reference {
+            None => reference = Some(bytes),
+            Some(first) if *first != bytes => {
+                return Err("serialized archive differs across thread counts".to_string());
+            }
+            Some(_) => {}
+        }
+    }
+    reference.ok_or_else(|| "no thread count configured".to_string())
+}
+
 /// Renders a block's lines back into raw bytes (one trailing newline per
 /// line, the framing [`loggrep::engine::split_lines`] undoes).
 pub fn block_bytes(lines: &[Vec<u8>]) -> Vec<u8> {
@@ -109,20 +140,11 @@ impl Harness {
         })?;
         let want = oracle::matching_lines(&case.blocks, &ast);
 
-        // Serialized boxes per (config label, block): must not vary with
-        // the thread count.
-        let mut reference_bytes: HashMap<(usize, usize), Vec<u8>> = HashMap::new();
-
-        for (ci, (label, base)) in engine_matrix().into_iter().enumerate() {
-            for &threads in &self.threads {
-                let mut config = base.clone();
-                config.threads = threads;
-                let tag = format!("{label} t={threads}");
-                if only.is_some_and(|o| o != tag) {
-                    continue;
-                }
-                self.check_loggrep(case, &want, &tag, config, ci, &mut reference_bytes)?;
+        for (label, config) in engine_matrix() {
+            if only.is_some_and(|o| o != label) {
+                continue;
             }
+            self.check_loggrep(case, &want, label, config)?;
         }
 
         if self.with_baselines {
@@ -149,45 +171,25 @@ impl Harness {
         Ok(())
     }
 
-    /// One LogGrep configuration at one thread count, over every block.
+    /// One LogGrep configuration over every block.
     fn check_loggrep(
         &self,
         case: &Case,
         want: &[Vec<u8>],
         tag: &str,
         config: LogGrepConfig,
-        config_index: usize,
-        reference_bytes: &mut HashMap<(usize, usize), Vec<u8>>,
     ) -> Result<(), Failure> {
         let fail = |detail: String| Failure {
             engine: tag.to_string(),
             detail,
         };
-        let sys = LogGrepSystem::with_config(tag, config.clone());
-        let engine = sys.engine();
+        let engine = LogGrep::new(config);
+        let config = engine.config();
         let mut got: Vec<Vec<u8>> = Vec::new();
 
         for (bi, block) in case.blocks.iter().enumerate() {
-            let raw = block_bytes(block);
-            let boxed = engine
-                .compress(&raw)
-                .map_err(|e| fail(format!("block {bi}: compress failed: {e}")))?;
-            let bytes = boxed.to_bytes();
-
-            // Determinism across thread counts: the serialized archive is a
-            // pure function of (input, config), never of scheduling.
-            match reference_bytes.entry((config_index, bi)) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(bytes.clone());
-                }
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    if o.get() != &bytes {
-                        return Err(fail(format!(
-                            "block {bi}: serialized archive differs across thread counts"
-                        )));
-                    }
-                }
-            }
+            let bytes = compress_at_each_thread_count(config, &self.threads, &block_bytes(block))
+                .map_err(|detail| fail(format!("block {bi}: {detail}")))?;
 
             // Reopen from bytes so the wire decode path is exercised too.
             let reopened = loggrep::CapsuleBox::from_bytes(&bytes)

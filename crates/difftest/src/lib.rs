@@ -14,9 +14,10 @@
 //! 3. [`oracle`] is a trivially-correct line scanner with its own tiny
 //!    query evaluator — independent of `strsearch` and the planner;
 //! 4. [`harness`] runs each case through every engine in
-//!    [`baselines::LogGrepSystem`] (full, SP, every §6.3 ablation) at
-//!    `threads ∈ {1, 4}` plus the non-LogGrep baselines, asserting
-//!    identical matched line sets and sane `QueryStats` invariants;
+//!    [`baselines::LogGrepSystem`] (full, SP, every §6.3 ablation;
+//!    compressed at `threads ∈ {1, 4}` with byte-identical archives,
+//!    queried once) plus the non-LogGrep baselines, asserting identical
+//!    matched line sets and sane `QueryStats` invariants;
 //! 5. [`shrink`] minimizes failures (drop lines → shorten tokens →
 //!    simplify the query AST) and [`corpus`] writes them as replayable
 //!    fixture files under `crates/difftest/corpus/`, which the test suite

@@ -14,8 +14,7 @@
 //!
 //! `--aggregates` switches to the aggregate mode: each case runs one
 //! aggregate verb (optionally under a filter) through every engine config
-//! at every thread count and compares the merged result against a naive
-//! raw-line oracle, plus the zero-decompression pushdown and cache
+//! and compares the merged result against a naive raw-line oracle, plus the zero-decompression pushdown and cache
 //! contracts (see [`difftest::aggregates`]).
 //!
 //! Stdout is deterministic for a given seed and case count (timings go
@@ -185,7 +184,7 @@ fn run_cluster_faults(args: &Args) -> ! {
 }
 
 /// The `--aggregates` mode: aggregate verbs over generated logs, every
-/// engine config at every thread count, against the naive raw-line oracle
+/// engine config, against the naive raw-line oracle
 /// (see [`difftest::aggregates`]). Stdout is deterministic for a given
 /// seed and case count.
 fn run_aggregates(args: &Args) -> ! {

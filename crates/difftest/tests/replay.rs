@@ -2,7 +2,7 @@
 //!
 //! Corpus files under `crates/difftest/corpus/` are regression fixtures:
 //! each was once a shrunk failure (or a migrated proptest regression) and
-//! must now pass every engine at every thread count.
+//! must now pass every engine.
 
 use difftest::corpus;
 use difftest::harness::Harness;

@@ -16,7 +16,7 @@
 //! 3. flags **blocking calls while a lock is held** (`send` / `recv` /
 //!    `rpc` / `join` / `sleep` / ..., rule `no-lock-across-blocking`);
 //! 4. flags blocking calls inside closures handed to
-//!    `Pool::map` / `try_map` / `map_chunks` (rule
+//!    `Pool::map` / `try_map` (rule
 //!    `no-blocking-in-pool-worker`) — a sleeping worker starves the
 //!    bounded pool.
 //!
@@ -348,12 +348,12 @@ fn binding_of(toks: &[Token], func: &Function, method_idx: usize) -> (Option<Str
 }
 
 /// Flags blocking calls inside closures handed to a pool's
-/// `map` / `try_map` / `map_chunks`.
+/// `map` / `try_map`.
 fn check_pool_workers(file: &str, toks: &[Token], func: &Function, diags: &mut Vec<Diagnostic>) {
     for i in func.body_open + 1..func.body_close {
         let t = &toks[i];
         if t.kind != TokKind::Ident
-            || !matches!(t.text.as_str(), "map" | "try_map" | "map_chunks")
+            || !matches!(t.text.as_str(), "map" | "try_map")
             || !punct_at(toks, i.wrapping_sub(1), '.')
             || !punct_at(toks, i + 1, '(')
         {

@@ -29,7 +29,7 @@ pub const RULE_ALLOW_REASON: &str = "allow-needs-reason";
 pub const RULE_LOCK_CYCLE: &str = "lock-order-cycle";
 /// A blocking call (`send`/`recv`/`rpc`/`join`/...) while a lock is held.
 pub const RULE_LOCK_BLOCKING: &str = "no-lock-across-blocking";
-/// A blocking call inside a `Pool::map`/`try_map`/`map_chunks` closure.
+/// A blocking call inside a `Pool::map`/`try_map` closure.
 pub const RULE_POOL_BLOCKING: &str = "no-blocking-in-pool-worker";
 /// `let _ =` discarding the `Result` of a fallible decode/cluster call.
 pub const RULE_SWALLOWED: &str = "swallowed-result";

@@ -363,14 +363,11 @@ pub struct Archive {
     pub(crate) cache: crate::query::cache::QueryCache,
     pub(crate) use_query_cache: bool,
     pub(crate) use_stamps: bool,
-    /// Query worker-pool size; `0` resolves through `LOGGREP_THREADS` /
-    /// `available_parallelism`. Results are identical for every value.
-    pub(crate) threads: usize,
     /// Lazily built map: line number → (group id, group row).
     line_index: std::sync::OnceLock<Vec<(u32, u32)>>,
-    /// Recycled decompression buffers: query sessions decompress Capsules
-    /// into these and return them on session drop, so repeated queries stop
-    /// re-allocating megabytes of payload Vecs (see `ExecShared`).
+    /// Recycled decompression buffers: queries decompress Capsules into
+    /// these and return them when they finish, so repeated queries stop
+    /// re-allocating megabytes of payload Vecs (see `query::exec::ExecCtx`).
     arena: parking_lot::Mutex<Vec<Vec<u8>>>,
 }
 
@@ -393,7 +390,6 @@ impl Archive {
             cache: crate::query::cache::QueryCache::new(),
             use_query_cache: true,
             use_stamps: true,
-            threads: 0,
             line_index: std::sync::OnceLock::new(),
             arena: parking_lot::Mutex::new(Vec::new()),
         }
@@ -405,7 +401,7 @@ impl Archive {
         self.arena.lock().pop().unwrap_or_default()
     }
 
-    /// Returns a buffer to the arena for the next query session. The buffer
+    /// Returns a buffer to the arena for the next query. The buffer
     /// is cleared here; its capacity is what gets recycled.
     pub(crate) fn return_buffer(&self, mut buf: Vec<u8>) {
         buf.clear();
@@ -447,11 +443,9 @@ impl Archive {
         self.use_stamps = on;
     }
 
-    /// Sets the query worker-pool size (`0` = auto). Query results and
-    /// statistics are identical for every value; only latency changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
+    /// Does nothing: reads are serial per block; kept for the benchmark
+    /// package, remove with its call sites.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Caps the query cache at `entries` entries (LRU; `0` = unbounded).
     pub fn set_query_cache_entries(&mut self, entries: usize) {

@@ -49,9 +49,10 @@ pub struct LogGrepConfig {
     pub codec_name: String,
     /// Seed for the randomized choices in tree expansion (reproducibility).
     pub seed: u64,
-    /// Worker-pool size for parallel capsule encoding and query execution;
-    /// `0` (the default) resolves through `LOGGREP_THREADS` /
+    /// Worker-pool size of the write side (extraction and Capsule
+    /// encoding); `0` (the default) resolves through `LOGGREP_THREADS` /
     /// `available_parallelism`. Output is byte-identical for every value.
+    /// Reads are serial per block and parallel across blocks.
     pub threads: usize,
     /// Maximum entries the per-archive query cache holds before LRU
     /// eviction; `0` means unbounded.

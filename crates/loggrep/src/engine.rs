@@ -360,7 +360,6 @@ impl LogGrep {
         let mut archive = Archive::from_box(boxed);
         archive.set_query_cache(self.config.use_query_cache);
         archive.set_stamps(self.config.use_stamps);
-        archive.set_threads(self.config.threads);
         archive.set_query_cache_entries(self.config.query_cache_entries);
         archive
     }

@@ -24,7 +24,7 @@ use crate::boxfile::Archive;
 use crate::capsule::CapsuleView;
 use crate::error::{Error, Result};
 use crate::extract::nominal::parse_index;
-use crate::query::exec::{ExecCtx, ExecShared, Selection};
+use crate::query::exec::{ExecCtx, Selection};
 use crate::query::lang::{AggSpec, Query};
 use crate::query::plan::AggTargetKind;
 use crate::stats::{AggLayer, QueryStats};
@@ -33,8 +33,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 /// The result of one aggregate query (canonically ordered, so equal
-/// answers are structurally equal across engine configs and thread
-/// counts).
+/// answers are structurally equal across engine configs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AggResult {
     /// `count`: matching lines.
@@ -257,11 +256,10 @@ impl Archive {
         let _trace = telemetry::trace_scope();
         let _query_span = telemetry::span("query");
         telemetry::counter!("query.agg.executed", 1);
-        let shared = {
+        let mut ctx = {
             let _span = telemetry::span("setup");
-            ExecShared::new(self)
+            ExecCtx::new(self)
         };
-        let mut ctx = ExecCtx::new(&shared);
         ctx.stats.capsules_total = self.boxed.capsules.len() as u32;
 
         let key = agg_cache_key(line_offset, spec, filter);
@@ -286,7 +284,7 @@ impl Archive {
         let mut stats = std::mem::take(&mut ctx.stats);
         {
             let _span = telemetry::span("teardown");
-            drop(shared);
+            drop(ctx);
         }
         stats.elapsed = start.elapsed();
         Ok(AggQueryResult { agg, stats })
@@ -468,7 +466,7 @@ impl ExecCtx<'_> {
                         self.note_layer(AggLayer::CapsuleScan);
                         let meta = self.meta(*index_cap)?;
                         let payload = self.payload(*index_cap)?;
-                        let view = CapsuleView::new(&payload, meta)?;
+                        let view = CapsuleView::new(payload, meta)?;
                         let mut counts = vec![0u64; *dict_len as usize];
                         for &row in rows {
                             if row as usize >= view.rows() {

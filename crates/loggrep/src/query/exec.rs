@@ -14,32 +14,9 @@ use crate::stats::QueryStats;
 use crate::vector::VectorMeta;
 use crate::PAD;
 use logparse::{Piece, DEFAULT_DELIMS};
-use parking_lot::Mutex;
-use pool::Pool;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 use std::time::Instant;
 use strsearch::FixedRows;
-
-/// Shards of the decompressed-payload cache. Capsules are assigned by id,
-/// so concurrent workers touching different Capsules rarely share a lock.
-const CACHE_SHARDS: usize = 16;
-
-/// A wildcard/overflow verification fans out across row chunks only at or
-/// above this many candidate rows. Rendering one row costs a few µs while a
-/// single worker spawn costs ~0.25–0.75 ms on the virtualized hosts this
-/// targets, so thousands of rows must be at stake before threads pay off —
-/// selective queries must stay strictly serial to hit their latency budget.
-const PARALLEL_VERIFY_MIN_ROWS: usize = 4096;
-
-/// Reconstruction fans out across line chunks only at or above this many
-/// lines (same spawn-cost argument as [`PARALLEL_VERIFY_MIN_ROWS`]).
-const PARALLEL_RECONSTRUCT_MIN_LINES: usize = 4096;
-
-/// Lower bound on items per parallel chunk: inputs just over the fan-out
-/// thresholds engage only a few workers instead of splitting µs-sized
-/// slivers across the whole pool.
-const MIN_PARALLEL_CHUNK: usize = 1024;
 
 /// The result of a query: matching lines in original log order.
 #[derive(Debug, Clone)]
@@ -71,11 +48,10 @@ impl Archive {
         let _trace = telemetry::trace_scope();
         let _query_span = telemetry::span("query");
         telemetry::counter!("query.executed", 1);
-        let shared = {
+        let mut ctx = {
             let _span = telemetry::span("setup");
-            ExecShared::new(self)
+            ExecCtx::new(self)
         };
-        let mut ctx = ExecCtx::new(&shared);
         ctx.stats.capsules_total = self.boxed.capsules.len() as u32;
 
         let line_numbers = if self.use_query_cache {
@@ -102,10 +78,9 @@ impl Archive {
         };
         let mut stats = std::mem::take(&mut ctx.stats);
         {
-            // `ctx` is plain data over `shared`'s borrow; dropping `shared`
-            // is the real teardown (payload buffers return to the arena).
+            // Payload buffers return to the arena here.
             let _span = telemetry::span("teardown");
-            drop(shared);
+            drop(ctx);
         }
         stats.elapsed = start.elapsed();
         Ok(QueryResult {
@@ -118,8 +93,7 @@ impl Archive {
     /// Reconstructs every stored line in original order (the full-decompress
     /// path, used by tests and the `ggrep`-style fallback).
     pub fn reconstruct_all(&self) -> Result<Vec<Vec<u8>>> {
-        let shared = ExecShared::new(self);
-        let mut ctx = ExecCtx::new(&shared);
+        let mut ctx = ExecCtx::new(self);
         let all: Vec<u32> = (0..self.boxed.total_lines).collect();
         ctx.reconstruct(&all)
     }
@@ -139,67 +113,45 @@ pub(crate) enum Selection {
     Rows(Vec<RowSet>),
 }
 
-/// Per-query state shared by every worker: the archive handle, the worker
-/// pool, and the sharded decompressed-payload caches.
-///
-/// The caches use `Arc` payloads behind sharded mutexes, so any worker can
-/// decompress or reuse any Capsule. A Capsule is decompressed **while its
-/// shard is locked**: a concurrent worker asking for the same Capsule
-/// blocks and reuses the result, so each Capsule is decompressed exactly
-/// once per query and `capsules_decompressed` matches the serial count.
-pub(crate) struct ExecShared<'a> {
-    archive: &'a Archive,
-    pool: Pool,
-    payloads: Vec<Mutex<HashMap<u32, Arc<Vec<u8>>>>>,
-    delim_ranges: Vec<CacheShard<Vec<(usize, usize)>>>,
+/// One decompressed Capsule of a query.
+struct Loaded {
+    bytes: Vec<u8>,
+    /// Row byte-ranges of a delimited Capsule, computed on first row access.
+    ranges: Option<Vec<(usize, usize)>>,
 }
 
-/// One shard of a per-query Capsule-keyed cache.
-type CacheShard<T> = Mutex<HashMap<u32, Arc<T>>>;
-
-impl<'a> ExecShared<'a> {
-    pub(crate) fn new(archive: &'a Archive) -> Self {
-        Self {
-            archive,
-            pool: Pool::new(archive.threads),
-            payloads: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            delim_ranges: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-}
-
-impl Drop for ExecShared<'_> {
-    /// Returns the session's decompressed payload buffers to the archive's
-    /// arena so the next query reuses their capacity instead of
-    /// re-allocating megabytes of Vecs. Workers only hold payload `Arc`s
-    /// transiently and are joined before the session ends, so each payload
-    /// is unshared here; a still-shared one is simply freed.
-    fn drop(&mut self) {
-        for shard in &self.payloads {
-            for (_, arc) in shard.lock().drain() {
-                if let Ok(buf) = Arc::try_unwrap(arc) {
-                    self.archive.return_buffer(buf);
-                }
-            }
-        }
-    }
-}
-
-/// Per-worker execution context: a handle on the shared state plus this
-/// worker's own statistics, merged by the coordinator when the worker is
-/// done. The coordinating (caller-side) context is just worker zero.
+/// Per-query execution context: the archive handle, the query's statistics,
+/// and its decompressed Capsules in a table indexed by Capsule id, so each
+/// Capsule is decompressed at most once per query and the per-row render
+/// path is one slice index. Reads are serial per block (blocks are the
+/// unit of parallelism), so the context never crosses a thread.
 pub(crate) struct ExecCtx<'a> {
-    shared: &'a ExecShared<'a>,
     pub(crate) archive: &'a Archive,
     pub(crate) stats: QueryStats,
+    loaded: Vec<Option<Loaded>>,
+    scratch: RenderScratch,
+}
+
+impl Drop for ExecCtx<'_> {
+    /// Returns the query's decompressed payload buffers to the archive's
+    /// arena so the next query reuses their capacity instead of
+    /// re-allocating megabytes of Vecs.
+    fn drop(&mut self) {
+        for loaded in self.loaded.drain(..).flatten() {
+            self.archive.return_buffer(loaded.bytes);
+        }
+    }
 }
 
 impl<'a> ExecCtx<'a> {
-    pub(crate) fn new(shared: &'a ExecShared<'a>) -> Self {
+    pub(crate) fn new(archive: &'a Archive) -> Self {
+        let mut loaded = Vec::new();
+        loaded.resize_with(archive.boxed.capsules.len(), || None);
         Self {
-            shared,
-            archive: shared.archive,
+            archive,
             stats: QueryStats::default(),
+            loaded,
+            scratch: RenderScratch::default(),
         }
     }
 
@@ -219,89 +171,87 @@ impl<'a> ExecCtx<'a> {
             .ok_or_else(|| Error::Corrupt(format!("group {gid} out of range")))
     }
 
-    /// Decompresses (and caches) one Capsule payload.
-    pub(crate) fn payload(&mut self, id: u32) -> Result<Arc<Vec<u8>>> {
-        // lint:allow(no-panic-in-decode) — index is reduced modulo the shard-vector length
-        let shard = &self.shared.payloads[id as usize % CACHE_SHARDS];
-        let mut shard = shard.lock();
-        if let Some(p) = shard.get(&id) {
-            return Ok(p.clone());
-        }
-        // Decompress under the shard lock: see [`ExecShared`]. The buffer
-        // comes from (and on session drop returns to) the archive arena.
-        let _span = telemetry::span("decompress");
-        let mut bytes = self.archive.take_buffer();
-        if let Err(e) = self.archive.boxed.decompress_capsule_into(id, &mut bytes) {
-            self.archive.return_buffer(bytes);
-            return Err(e);
-        }
-        self.stats.capsules_decompressed += 1;
-        self.stats.bytes_decompressed += bytes.len() as u64;
-        telemetry::counter!("query.capsules_decompressed", 1);
-        telemetry::counter!("query.bytes_decompressed", bytes.len() as u64);
-        let arc = Arc::new(bytes);
-        shard.insert(id, arc.clone());
-        Ok(arc)
+    /// The table entry of one Capsule, decompressing it on first use.
+    fn load(&mut self, id: u32) -> Result<&mut Loaded> {
+        let archive = self.archive;
+        let slot = self
+            .loaded
+            .get_mut(id as usize)
+            .ok_or_else(|| Error::Corrupt(format!("capsule id {id} out of range")))?;
+        Ok(match slot {
+            Some(loaded) => loaded,
+            None => {
+                // The buffer comes from (and on drop returns to) the
+                // archive arena.
+                let _span = telemetry::span("decompress");
+                let mut bytes = archive.take_buffer();
+                if let Err(e) = archive.boxed.decompress_capsule_into(id, &mut bytes) {
+                    archive.return_buffer(bytes);
+                    return Err(e);
+                }
+                self.stats.capsules_decompressed += 1;
+                self.stats.bytes_decompressed += bytes.len() as u64;
+                telemetry::counter!("query.capsules_decompressed", 1);
+                telemetry::counter!("query.bytes_decompressed", bytes.len() as u64);
+                slot.insert(Loaded {
+                    bytes,
+                    ranges: None,
+                })
+            }
+        })
     }
 
-    /// Row byte-ranges of a delimited Capsule (cached).
-    fn ranges(&mut self, id: u32) -> Result<Arc<Vec<(usize, usize)>>> {
-        {
-            // lint:allow(no-panic-in-decode) — index is reduced modulo the shard-vector length
-            let shard = self.shared.delim_ranges[id as usize % CACHE_SHARDS].lock();
-            if let Some(r) = shard.get(&id) {
-                return Ok(r.clone());
+    /// One Capsule's decompressed payload.
+    pub(crate) fn payload(&mut self, id: u32) -> Result<&[u8]> {
+        Ok(&self.load(id)?.bytes)
+    }
+
+    /// The bytes of `row` in a delimited Capsule.
+    fn delimited_row(&mut self, id: u32, row: u32) -> Result<&[u8]> {
+        let Loaded { bytes, ranges } = self.load(id)?;
+        let ranges = match ranges {
+            Some(ranges) => ranges,
+            None => {
+                let mut found = Vec::new();
+                let mut start = 0usize;
+                for (i, &b) in bytes.iter().enumerate() {
+                    if b == b'\n' {
+                        found.push((start, i));
+                        start = i + 1;
+                    }
+                }
+                if start != bytes.len() {
+                    return Err(Error::Corrupt("delimited capsule missing trailer".into()));
+                }
+                ranges.insert(found)
             }
-        }
-        // Computed outside the shard lock (it needs the payload lock); a
-        // concurrent duplicate computation is idempotent.
-        let payload = self.payload(id)?;
-        let mut ranges = Vec::new();
-        let mut start = 0usize;
-        for (i, &b) in payload.iter().enumerate() {
-            if b == b'\n' {
-                ranges.push((start, i));
-                start = i + 1;
-            }
-        }
-        if start != payload.len() {
-            return Err(Error::Corrupt("delimited capsule missing trailer".into()));
-        }
-        let arc = Arc::new(ranges);
-        // lint:allow(no-panic-in-decode) — index is reduced modulo the shard-vector length
-        self.shared.delim_ranges[id as usize % CACHE_SHARDS]
-            .lock()
-            .insert(id, arc.clone());
-        Ok(arc)
+        };
+        let &(lo, hi) = ranges
+            .get(row as usize)
+            .ok_or_else(|| Error::Corrupt("capsule row out of range".into()))?;
+        bytes
+            .get(lo..hi)
+            .ok_or_else(|| Error::Corrupt("capsule row range outside payload".into()))
     }
 
     /// The unpadded value of `row` in a Capsule, appended into `out`
     /// (cleared first) so render loops reuse one buffer per slot.
     fn capsule_value_into(&mut self, id: u32, row: u32, out: &mut Vec<u8>) -> Result<()> {
         out.clear();
-        let meta = self.meta(id)?;
-        let payload = self.payload(id)?;
-        match meta.layout {
+        match self.meta(id)?.layout {
             Layout::Padded { width } => {
+                let payload = self.payload(id)?;
                 let width = width as usize;
                 if width == 0 || payload.len() % width != 0 {
                     return Err(Error::Corrupt("capsule payload misaligned".into()));
                 }
-                let f = FixedRows::new(&payload, width, PAD);
+                let f = FixedRows::new(payload, width, PAD);
                 if (row as usize) >= f.rows() {
                     return Err(Error::Corrupt("capsule row out of range".into()));
                 }
                 out.extend_from_slice(f.value(row as usize));
             }
-            Layout::Delimited => {
-                let ranges = self.ranges(id)?;
-                let &(lo, hi) = ranges
-                    .get(row as usize)
-                    .ok_or_else(|| Error::Corrupt("capsule row out of range".into()))?;
-                out.extend_from_slice(payload.get(lo..hi).ok_or_else(|| {
-                    Error::Corrupt("capsule row range outside payload".into())
-                })?);
-            }
+            Layout::Delimited => out.extend_from_slice(self.delimited_row(id, row)?),
             Layout::Raw => return Err(Error::Corrupt("raw capsule has no row addressing".into())),
         }
         Ok(())
@@ -309,10 +259,10 @@ impl<'a> ExecCtx<'a> {
 
     /// Rows of a Capsule whose values satisfy `(mode, needle)`.
     fn capsule_find(&mut self, id: u32, needle: &[u8], mode: Mode) -> Result<Vec<u32>> {
+        let meta = self.meta(id)?;
         let payload = self.payload(id)?;
         let _span = telemetry::span("search");
-        let meta = self.meta(id)?;
-        let view = crate::capsule::CapsuleView::new(&payload, meta)?;
+        let view = crate::capsule::CapsuleView::new(payload, meta)?;
         let hits = view.find(needle, mode);
         telemetry::counter!("query.capsule_scans", 1);
         Ok(hits)
@@ -439,14 +389,7 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Evaluates one search string over every non-skipped group, serially.
-    ///
-    /// Fanning out across *groups* is never worth it: literal searches are
-    /// sub-millisecond Capsule scans (cheaper than one thread spawn on the
-    /// virtualized hosts this targets) and the expensive part of wildcard
-    /// searches — per-row verification — fans out across row chunks inside
-    /// [`ExecCtx::verify_rows`], which parallelizes within a group instead
-    /// of being capped by the group count.
+    /// Evaluates one search string over every non-skipped group.
     fn eval_str_over_groups(&mut self, s: &SearchString, skip: &[bool]) -> Result<Vec<RowSet>> {
         let mut out = Vec::with_capacity(skip.len());
         for (gid, &skipped) in skip.iter().enumerate() {
@@ -479,63 +422,23 @@ impl<'a> ExecCtx<'a> {
     /// Renders each of `rows` (ascending) and keeps those passing `pred` —
     /// the verify-by-reconstruction step shared by wildcard searches and
     /// the planner's Overflow fallback.
-    ///
-    /// Large candidate sets are verified in parallel: contiguous row chunks
-    /// go to pool workers (sharing the Capsule caches through
-    /// [`ExecShared`]), and hits concatenate in chunk order, so the result
-    /// and statistics match the serial loop exactly.
     fn verify_rows(
         &mut self,
         gid: usize,
         rows: &[u32],
-        pred: impl Fn(&[u8]) -> bool + Sync,
+        pred: impl Fn(&[u8]) -> bool,
     ) -> Result<RowSet> {
-        let shared = self.shared;
-        if shared.pool.threads() == 1 || rows.len() < PARALLEL_VERIFY_MIN_ROWS {
-            let mut scratch = RenderScratch::default();
-            let mut line = Vec::new();
-            let mut hits = Vec::new();
-            for &row in rows {
-                self.render_row_into(gid, row, &mut scratch, &mut line)?;
-                self.note_row_verified();
-                if pred(&line) {
-                    hits.push(row);
-                }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut hits = Vec::new();
+        for &row in rows {
+            self.render_row_into(gid, row, &mut scratch)?;
+            self.note_row_verified();
+            if pred(&scratch.line) {
+                hits.push(row);
             }
-            return Ok(RowSet::from_sorted(hits));
         }
-        let chunk = rows
-            .len()
-            .div_ceil(shared.pool.threads() * 4)
-            .max(MIN_PARALLEL_CHUNK);
-        let trace_id = telemetry::current_trace_id();
-        // Workers re-root their span stacks at the caller's current path so
-        // their spans aggregate under the same histograms as the serial
-        // loop, whichever eval path fanned the verification out.
-        let ctx_path = telemetry::span_path();
-        let chunks = shared.pool.map_chunks(rows, chunk, |_, chunk_rows| {
-            let _trace = telemetry::trace_scope_with(trace_id);
-            let _ctx = ctx_path.as_deref().map(telemetry::context);
-            let mut worker = ExecCtx::new(shared);
-            let mut scratch = RenderScratch::default();
-            let mut line = Vec::new();
-            let mut hits = Vec::new();
-            for &row in chunk_rows {
-                worker.render_row_into(gid, row, &mut scratch, &mut line)?;
-                worker.note_row_verified();
-                if pred(&line) {
-                    hits.push(row);
-                }
-            }
-            Ok::<_, Error>((hits, worker.stats))
-        });
-        let mut out = Vec::new();
-        for chunk_result in chunks {
-            let (hits, worker_stats) = chunk_result?;
-            self.stats.merge(&worker_stats);
-            out.extend(hits);
-        }
-        Ok(RowSet::from_sorted(out))
+        self.scratch = scratch;
+        Ok(RowSet::from_sorted(hits))
     }
 
     /// Rows of a group whose rendered line contains the literal `kw`.
@@ -770,7 +673,7 @@ impl<'a> ExecCtx<'a> {
             let hits: Vec<u32> = if fixed {
                 let payload = self.payload(dict_cap)?;
                 let _span = telemetry::span("search");
-                let bytes = region_bytes(&payload, region)?;
+                let bytes = region_bytes(payload, region)?;
                 let width = region.width as usize;
                 FixedRows::new(bytes, width, PAD)
                     .find(needle, mode)
@@ -781,7 +684,7 @@ impl<'a> ExecCtx<'a> {
                 let meta = self.meta(dict_cap)?;
                 let payload = self.payload(dict_cap)?;
                 let _span = telemetry::span("search");
-                let view = crate::capsule::CapsuleView::new(&payload, meta)?;
+                let view = crate::capsule::CapsuleView::new(payload, meta)?;
                 view.find_in_rows(
                     needle,
                     mode,
@@ -813,7 +716,7 @@ impl<'a> ExecCtx<'a> {
             let set: HashSet<u32> = matched.into_iter().collect();
             let meta = self.meta(index_cap)?;
             let payload = self.payload(index_cap)?;
-            let view = crate::capsule::CapsuleView::new(&payload, meta)?;
+            let view = crate::capsule::CapsuleView::new(payload, meta)?;
             let mut rows = Vec::new();
             for row in 0..nrows.min(view.rows() as u32) {
                 let idx = parse_index(view.value(row as usize))
@@ -958,7 +861,7 @@ impl<'a> ExecCtx<'a> {
                 return Err(Error::Corrupt("dict index out of range".into()));
             }
             let payload = self.payload(dict_cap)?;
-            let bytes = region_bytes(&payload, region)?;
+            let bytes = region_bytes(payload, region)?;
             let width = region.width as usize;
             let rows = FixedRows::new(bytes, width, PAD);
             let local = (idx - region.first_index) as usize;
@@ -976,22 +879,16 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Renders the full original line of group row `row` into `line`
-    /// (cleared first), materializing each slot value into the scratch's
+    /// Renders the full original line of group row `row` into
+    /// `scratch.line`, materializing each slot value into the scratch's
     /// reused buffers — only this row's column values are ever touched.
-    fn render_row_into(
-        &mut self,
-        gid: usize,
-        row: u32,
-        scratch: &mut RenderScratch,
-        line: &mut Vec<u8>,
-    ) -> Result<()> {
+    fn render_row_into(&mut self, gid: usize, row: u32, scratch: &mut RenderScratch) -> Result<()> {
         let group = self.group(gid)?;
         let slots = group.vectors.len();
         if scratch.values.len() < slots {
             scratch.values.resize_with(slots, Vec::new);
         }
-        let RenderScratch { values, subs } = scratch;
+        let RenderScratch { values, subs, line } = scratch;
         for (slot, value) in values.iter_mut().take(slots).enumerate() {
             self.slot_value_into(gid, slot, row, subs, value)?;
         }
@@ -1002,31 +899,10 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Reconstructs every row of a group and keeps those passing `pred`.
-    fn brute_force_group(
-        &mut self,
-        gid: usize,
-        pred: impl Fn(&[u8]) -> bool + Sync,
-    ) -> Result<RowSet> {
+    fn brute_force_group(&mut self, gid: usize, pred: impl Fn(&[u8]) -> bool) -> Result<RowSet> {
         let nrows = self.group(gid)?.rows();
         let rows: Vec<u32> = (0..nrows).collect();
         self.verify_rows(gid, &rows, pred)
-    }
-
-    /// Renders one line number through the line index into `line`.
-    fn render_line_into(
-        &mut self,
-        index: &[(u32, u32)],
-        lineno: u32,
-        scratch: &mut RenderScratch,
-        line: &mut Vec<u8>,
-    ) -> Result<()> {
-        let &(gid, row) = index
-            .get(lineno as usize)
-            .ok_or_else(|| Error::Corrupt("line number out of range".into()))?;
-        if gid == u32::MAX {
-            return Err(Error::Corrupt("line number missing from groups".into()));
-        }
-        self.render_row_into(gid as usize, row, scratch, line)
     }
 
     /// Reconstructs the given global line numbers, in ascending line order.
@@ -1034,65 +910,39 @@ impl<'a> ExecCtx<'a> {
     /// Groups hold their rows in original order, so entries of one group are
     /// naturally ordered; across groups the stored line numbers (logical
     /// timestamps) restore the global order, as in §3's Reconstruction.
-    ///
-    /// Large result sets are rendered in parallel: the sorted line list is
-    /// split into contiguous chunks, each chunk rendered by a pool worker
-    /// (sharing the Capsule caches), and the chunks concatenated in order —
-    /// output and statistics match the serial loop exactly.
     fn reconstruct(&mut self, line_numbers: &[u32]) -> Result<Vec<Vec<u8>>> {
-        let shared = self.shared;
         let wanted = RowSet::from_unsorted(line_numbers.to_vec());
         let index = self.archive.line_index();
-        let lines: Vec<u32> = wanted.iter().collect();
-        if shared.pool.threads() == 1 || lines.len() < PARALLEL_RECONSTRUCT_MIN_LINES {
-            let mut scratch = RenderScratch::default();
-            let mut line = Vec::new();
-            let mut out = Vec::with_capacity(lines.len());
-            for &lineno in &lines {
-                self.render_line_into(index, lineno, &mut scratch, &mut line)?;
-                out.push(line.clone());
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut out = Vec::with_capacity(wanted.len());
+        for lineno in wanted.iter() {
+            let &(gid, row) = index
+                .get(lineno as usize)
+                .ok_or_else(|| Error::Corrupt("line number out of range".into()))?;
+            if gid == u32::MAX {
+                return Err(Error::Corrupt("line number missing from groups".into()));
             }
-            return Ok(out);
+            self.render_row_into(gid as usize, row, &mut scratch)?;
+            out.push(scratch.line.clone());
         }
-        let chunk = lines
-            .len()
-            .div_ceil(shared.pool.threads() * 4)
-            .max(MIN_PARALLEL_CHUNK);
-        let trace_id = telemetry::current_trace_id();
-        let chunks = shared.pool.map_chunks(&lines, chunk, |_, chunk_lines| {
-            let _trace = telemetry::trace_scope_with(trace_id);
-            let _ctx = telemetry::context("query/reconstruct");
-            let mut worker = ExecCtx::new(shared);
-            let mut scratch = RenderScratch::default();
-            let mut line = Vec::new();
-            let mut rendered = Vec::with_capacity(chunk_lines.len());
-            for &lineno in chunk_lines {
-                worker.render_line_into(index, lineno, &mut scratch, &mut line)?;
-                rendered.push(line.clone());
-            }
-            Ok::<_, Error>((rendered, worker.stats))
-        });
-        let mut out = Vec::with_capacity(lines.len());
-        for chunk_result in chunks {
-            let (rendered, worker_stats) = chunk_result?;
-            self.stats.merge(&worker_stats);
-            out.extend(rendered);
-        }
+        self.scratch = scratch;
         Ok(out)
     }
 }
 
-/// Reusable buffers for one render loop: per-slot value buffers plus
-/// sub-variable buffers, so rendering a row allocates nothing once they are
-/// warm — the row-level counterpart of the archive's payload arena. Each
-/// worker owns one; buffers grow to the widest row seen and stay there for
-/// the rest of the loop.
+/// Reusable buffers for rendering rows: per-slot value buffers,
+/// sub-variable buffers and the rendered line, so rendering a row allocates
+/// nothing once they are warm — the row-level counterpart of the archive's
+/// payload arena. A query owns one; its render loops take it out of the
+/// context and put it back, and buffers grow to the widest row seen.
 #[derive(Default)]
 struct RenderScratch {
     /// One value buffer per template slot.
     values: Vec<Vec<u8>>,
     /// One buffer per runtime-pattern sub-variable.
     subs: Vec<Vec<u8>>,
+    /// The rendered line.
+    line: Vec<u8>,
 }
 
 /// Slices a dictionary region out of a decompressed payload, rejecting

@@ -142,21 +142,6 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Folds a worker's statistics into this one. Counters add up;
-    /// `plan_elapsed` adds (it is per-call planner time, like in a serial
-    /// run); `elapsed` and `capsules_total` are whole-query notions owned
-    /// by the coordinating context and are left untouched.
-    pub fn merge(&mut self, other: &QueryStats) {
-        self.plan_elapsed += other.plan_elapsed;
-        self.capsules_decompressed += other.capsules_decompressed;
-        self.bytes_decompressed += other.bytes_decompressed;
-        self.stamp_rejections += other.stamp_rejections;
-        self.groups_skipped += other.groups_skipped;
-        self.rows_verified += other.rows_verified;
-        self.cache_hit |= other.cache_hit;
-        self.agg_layer = self.agg_layer.max(other.agg_layer);
-    }
-
     /// Records that `layer` contributed to an aggregate answer; the stats
     /// keep the most expensive layer seen.
     pub fn note_agg_layer(&mut self, layer: AggLayer) {
@@ -247,34 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_worker_counters() {
-        let mut main = QueryStats {
-            elapsed: Duration::from_micros(500),
-            capsules_total: 10,
-            capsules_decompressed: 1,
-            ..Default::default()
-        };
-        let worker = QueryStats {
-            plan_elapsed: Duration::from_micros(5),
-            capsules_decompressed: 2,
-            bytes_decompressed: 64,
-            stamp_rejections: 3,
-            rows_verified: 4,
-            ..Default::default()
-        };
-        main.merge(&worker);
-        assert_eq!(main.capsules_decompressed, 3);
-        assert_eq!(main.bytes_decompressed, 64);
-        assert_eq!(main.stamp_rejections, 3);
-        assert_eq!(main.rows_verified, 4);
-        assert_eq!(main.plan_elapsed, Duration::from_micros(5));
-        // Whole-query fields untouched.
-        assert_eq!(main.elapsed, Duration::from_micros(500));
-        assert_eq!(main.capsules_total, 10);
-    }
-
-    #[test]
-    fn agg_layer_orders_and_merges_to_the_most_expensive() {
+    fn agg_layer_keeps_the_most_expensive() {
         assert!(AggLayer::Metadata < AggLayer::Dictionary);
         assert!(AggLayer::Dictionary < AggLayer::CapsuleScan);
         assert!(AggLayer::CapsuleScan < AggLayer::Reconstruct);
@@ -285,13 +243,6 @@ mod tests {
         s.note_agg_layer(AggLayer::Reconstruct);
         s.note_agg_layer(AggLayer::Dictionary);
         assert_eq!(s.agg_layer, Some(AggLayer::Reconstruct));
-        // merge() keeps the max across workers, including None sides.
-        let mut main = QueryStats::default();
-        main.merge(&s);
-        assert_eq!(main.agg_layer, Some(AggLayer::Reconstruct));
-        let mut quiet = QueryStats::default();
-        quiet.merge(&QueryStats::default());
-        assert_eq!(quiet.agg_layer, None);
     }
 
     #[test]

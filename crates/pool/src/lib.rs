@@ -3,8 +3,8 @@
 //! The pool runs a fixed number of scoped worker threads over a slice of
 //! items and collects the results **in submission order**, so a parallel
 //! stage is observationally identical to its serial counterpart — the
-//! property the compression and query pipelines rely on for byte-identical
-//! archives and reproducible statistics.
+//! property the compression pipeline relies on for byte-identical archives
+//! and reproducible statistics.
 //!
 //! Design points:
 //!
@@ -53,8 +53,8 @@ pub const THREADS_ENV: &str = "LOGGREP_THREADS";
 /// that is unavailable).
 ///
 /// The parallelism probe is cached: on virtualized kernels it can take
-/// **milliseconds** (procfs-backed syscalls), which would dominate a
-/// selective query if paid on every `Pool::new(0)`. The env var is still
+/// **milliseconds** (procfs-backed syscalls), too much to pay on every
+/// `Pool::new(0)`. The env var is still
 /// read on every call (sub-µs) so tests can vary it at runtime.
 pub fn default_threads() -> usize {
     match std::env::var(THREADS_ENV)
@@ -212,22 +212,6 @@ impl Pool {
         F: Fn(usize, &T) -> Result<R, E> + Sync,
     {
         self.map(items, f).into_iter().collect()
-    }
-
-    /// Splits `items` into chunks of (at most) `chunk` items and applies
-    /// `f` to each chunk concurrently; results come back in chunk order.
-    ///
-    /// `f` receives `(start_index, chunk_slice)` where `start_index` is the
-    /// offset of the chunk's first item in `items`.
-    pub fn map_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let chunk = chunk.max(1);
-        let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-        self.map(&chunks, |i, c| f(i * chunk, c))
     }
 }
 
@@ -401,23 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_covers_everything_in_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        let pool = Pool::new(4);
-        let chunks = pool.map_chunks(&items, 64, |start, chunk| {
-            assert_eq!(chunk[0], start);
-            chunk.to_vec()
-        });
-        let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-        assert_eq!(flat, items);
-    }
-
-    #[test]
     fn empty_and_single_inputs() {
         let pool = Pool::new(8);
         assert_eq!(pool.map(&[] as &[u8], |_, &b| b), Vec::<u8>::new());
         assert_eq!(pool.map(&[9u8], |i, &b| (i, b)), vec![(0, 9)]);
-        assert_eq!(pool.map_chunks(&[] as &[u8], 4, |_, c| c.len()), Vec::<usize>::new());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * **Trace ids.** A [`trace_scope`] guard stamps every event recorded
 //!   by the current thread with a query-scoped id, and
 //!   [`trace_scope_with`] propagates the same id onto worker threads, so
-//!   one query's spans correlate across the pool.
+//!   one operation's spans correlate across a pool.
 //!
 //! Timestamps are nanoseconds since the journal epoch (first enable).
 
