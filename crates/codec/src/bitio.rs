@@ -86,8 +86,22 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Tops the accumulator up to at least 57 bits while input remains:
+    /// one 8-byte little-endian load when that many bytes are left, a byte
+    /// loop over the tail otherwise. Callers refill only when short of a
+    /// request, so `nbits <= 56` here. The wide load may deposit bits of a
+    /// byte it does not yet count in `nbits`; the next refill ORs the same
+    /// bits onto the same positions, so they are never wrong, only early.
     #[inline]
     fn refill(&mut self) {
+        debug_assert!(self.nbits <= 56);
+        if let Some(chunk) = self.bytes.get(self.pos..).and_then(|t| t.first_chunk::<8>()) {
+            self.acc |= u64::from_le_bytes(*chunk) << self.nbits;
+            let whole = (64 - self.nbits) >> 3;
+            self.pos += whole as usize;
+            self.nbits += whole * 8;
+            return;
+        }
         while self.nbits <= 56 {
             let Some(&b) = self.bytes.get(self.pos) else { break };
             self.acc |= u64::from(b) << self.nbits;
@@ -96,28 +110,46 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Reads `count` bits (LSB-first).
+    /// The next `count` bits (LSB-first) without consuming them; bits past
+    /// the end of the stream read as zero, and [`BitReader::consume`]
+    /// reports the truncation. `count <= 57`.
+    #[inline(always)]
+    pub fn peek(&mut self, count: u32) -> u64 {
+        debug_assert!(count <= 57);
+        if self.nbits < count {
+            self.refill();
+        }
+        self.acc & ((1u64 << count) - 1)
+    }
+
+    /// Drops `count` bits, normally ones just inspected with
+    /// [`BitReader::peek`].
     ///
     /// # Errors
     ///
     /// Returns an error if fewer than `count` bits remain.
-    #[inline]
-    pub fn read_bits(&mut self, count: u32) -> Result<u64, CodecError> {
-        debug_assert!(count <= 57);
+    #[inline(always)]
+    pub fn consume(&mut self, count: u32) -> Result<(), CodecError> {
         if self.nbits < count {
             self.refill();
             if self.nbits < count {
                 return Err(CodecError::new("bit stream truncated"));
             }
         }
-        let mask = if count == 64 {
-            u64::MAX
-        } else {
-            (1u64 << count) - 1
-        };
-        let value = self.acc & mask;
         self.acc >>= count;
         self.nbits -= count;
+        Ok(())
+    }
+
+    /// Reads `count` bits (LSB-first). `count <= 57`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if fewer than `count` bits remain.
+    #[inline(always)]
+    pub fn read_bits(&mut self, count: u32) -> Result<u64, CodecError> {
+        let value = self.peek(count);
+        self.consume(count)?;
         Ok(value)
     }
 
@@ -168,6 +200,39 @@ mod tests {
         w.write_bits(0b11, 2);
         let buf = w.finish();
         assert_eq!(buf, vec![0b000_11_101]);
+    }
+
+    #[test]
+    fn peek_then_consume_equals_read_bits_at_every_width() {
+        // Seeded bytes, seeded widths: the wide refill, the tail loop and
+        // the hand-over between them all have to agree with a bit-by-bit
+        // reference, for streams shorter and longer than one refill.
+        let mut state = 0x1234_5678_9abc_def1u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 64, 257] {
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let bit = |i: usize| u64::from(bytes[i / 8] >> (i % 8) & 1);
+            let mut r = BitReader::new(&bytes);
+            let mut at = 0usize;
+            loop {
+                let width = (next() % 58) as u32;
+                let left = len * 8 - at;
+                let want = (0..(width as usize).min(left)).fold(0u64, |v, i| v | bit(at + i) << i);
+                assert_eq!(r.peek(width), want, "len {len} at {at} width {width}");
+                if width as usize > left {
+                    assert!(r.consume(width).is_err());
+                    break;
+                }
+                r.consume(width).unwrap();
+                at += width as usize;
+                assert_eq!(r.remaining_bits(), len * 8 - at);
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{self, Decoder, Encoder};
-use crate::lz77::{Lz77Params, MatchFinder, Token};
+use crate::lz77::{self, Lz77Params, MatchFinder, Token};
 use crate::varint;
 use crate::{Codec, CodecError};
 
@@ -173,42 +173,35 @@ impl Codec for Deflate {
 
         // Cap the preallocation: the declared length is untrusted input.
         out.reserve(expected_len.min(1 << 20));
+        let overrun = || CodecError::new("deflate: output exceeds declared length");
         loop {
             let sym = litlen_dec.decode(&mut r)? as usize;
+            if sym < 256 {
+                if out.len() >= expected_len {
+                    return Err(overrun());
+                }
+                out.push(sym as u8);
+                continue;
+            }
             if sym == EOB {
                 break;
             }
-            if sym < 256 {
-                out.push(sym as u8);
-            } else {
-                let lc = sym - 257;
-                let (base, extra) = match (LEN_BASE.get(lc), LEN_EXTRA.get(lc)) {
-                    (Some(&b), Some(&e)) => (b, e),
-                    _ => return Err(CodecError::new("deflate: invalid length code")),
-                };
-                let ext = r.read_bits(extra)? as u32;
-                let len = base + ext;
-                let dc = dist_dec.decode(&mut r)? as usize;
-                let (dbase, dextra) = match (DIST_BASE.get(dc), DIST_EXTRA.get(dc)) {
-                    (Some(&b), Some(&e)) => (b, e),
-                    _ => return Err(CodecError::new("deflate: invalid distance code")),
-                };
-                let dext = r.read_bits(dextra)? as u32;
-                let dsum = dbase + dext;
-                let dist = dsum as usize;
-                if dist == 0 || dist > out.len() {
-                    return Err(CodecError::new("deflate: distance out of range"));
-                }
-                let start = out.len() - dist;
-                for i in 0..len as usize {
-                    // lint:allow(no-panic-in-decode) — dist ≤ out.len() above; out grows past start+i before each read
-                    let b = out[start + i];
-                    out.push(b);
-                }
+            let lc = sym - 257;
+            let (base, extra) = match (LEN_BASE.get(lc), LEN_EXTRA.get(lc)) {
+                (Some(&b), Some(&e)) => (b, e),
+                _ => return Err(CodecError::new("deflate: invalid length code")),
+            };
+            let len = (base + r.read_bits(extra)? as u32) as usize;
+            let dc = dist_dec.decode(&mut r)? as usize;
+            let (dbase, dextra) = match (DIST_BASE.get(dc), DIST_EXTRA.get(dc)) {
+                (Some(&b), Some(&e)) => (b, e),
+                _ => return Err(CodecError::new("deflate: invalid distance code")),
+            };
+            let dist = (dbase + r.read_bits(dextra)? as u32) as usize;
+            if out.len() + len > expected_len {
+                return Err(overrun());
             }
-            if out.len() > expected_len {
-                return Err(CodecError::new("deflate: output exceeds declared length"));
-            }
+            lz77::copy_match(out, dist, len)?;
         }
         if out.len() != expected_len {
             return Err(CodecError::new(format!(
@@ -276,6 +269,61 @@ mod tests {
         // Truncations too.
         for cut in 0..packed.len() {
             let _ = c.decompress(&packed[..cut]);
+        }
+    }
+
+    /// Fifteen bytes in a seeded shuffle whose counts, after the single
+    /// end-of-block symbol, continue the Fibonacci series. Coded as
+    /// literals only, that is the deepest tree the length limit leaves
+    /// alone: code lengths from 1 bit to 15, so the rare bytes decode
+    /// through the long-code fallback.
+    fn skewed_fixture() -> Vec<u8> {
+        let mut data = Vec::new();
+        let (mut a, mut b) = (1usize, 2usize);
+        for byte in 0..15u8 {
+            data.extend(std::iter::repeat_n(b'A' + byte, a));
+            (a, b) = (b, a + b);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..data.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            data.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        data
+    }
+
+    #[test]
+    fn skewed_frequencies_exercise_the_long_code_fallback() {
+        let data = skewed_fixture();
+        let literals_only = Lz77Params {
+            max_chain: 0,
+            ..Lz77Params::DEFLATE
+        };
+        let packed = Deflate::with_params(literals_only).compress(&data);
+        let c = Deflate::default();
+        let (_, header) = varint::get_uvarint(&packed).unwrap();
+        let lens = read_len_table(&mut BitReader::new(&packed[header..]), NUM_LITLEN).unwrap();
+        // Wider than the decoder's 10-bit primary table.
+        assert!(lens.iter().filter(|&&l| l > 10).count() >= 4, "lengths {lens:?}");
+        assert_eq!(c.decompress(&packed).unwrap(), data);
+        // Damage must stay an error or a full-length output, through the
+        // fallback as through the table.
+        let mut buf = Vec::new();
+        for cut in 0..packed.len() {
+            assert!(c.decompress_into(&packed[..cut], &mut buf).is_err(), "cut {cut}");
+        }
+        let mut mutant = packed.clone();
+        for i in 0..mutant.len() {
+            for bit in [0x01u8, 0x08, 0x80] {
+                mutant[i] ^= bit;
+                let declared = varint::get_uvarint(&mutant).map_or(0, |(n, _)| n as usize);
+                if c.decompress_into(&mutant, &mut buf).is_ok() {
+                    assert_eq!(buf.len(), declared, "flip {i}:{bit:#x}");
+                }
+                mutant[i] ^= bit;
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! literal-run length and match length (with 255-continuation extension
 //! bytes), followed by the literals and a 16-bit little-endian match offset.
 
-use crate::lz77::{Lz77Params, MatchFinder, Token};
+use crate::lz77::{self, Lz77Params, MatchFinder, Token};
 use crate::varint;
 use crate::{Codec, CodecError};
 
@@ -163,19 +163,11 @@ impl Codec for FastLz {
                 }
                 return Err(CodecError::new("fastlz: zero distance"));
             }
-            if dist > out.len() {
-                return Err(CodecError::new("fastlz: distance out of range"));
-            }
             let match_len = match_len as usize;
             if out.len() + match_len > expected_len {
                 return Err(CodecError::new("fastlz: output exceeds declared length"));
             }
-            let start = out.len() - dist;
-            for i in 0..match_len {
-                // lint:allow(no-panic-in-decode) — dist ≤ out.len() above; out grows past start+i before each read
-                let b = out[start + i];
-                out.push(b);
-            }
+            lz77::copy_match(out, dist, match_len)?;
         }
     }
 }

@@ -159,28 +159,31 @@ fn canonical_codes(lens: &[u32]) -> Vec<u32> {
         .collect()
 }
 
+/// The low `nbits` bits of `value`, reversed.
 #[inline]
 fn reverse_bits(value: u32, nbits: u32) -> u32 {
-    let mut v = value;
-    let mut out = 0u32;
-    for _ in 0..nbits {
-        out = (out << 1) | (v & 1);
-        v >>= 1;
-    }
-    out
+    value.reverse_bits().checked_shr(32 - nbits).unwrap_or(0)
 }
+
+/// Width in bits of the decoder's primary lookup table.
+const PRIMARY_BITS: u32 = 10;
 
 /// Decoder built from canonical code lengths.
 ///
-/// Uses the classic canonical decode loop (`first_code`/`first_symbol` per
-/// length), reading one bit at a time; at most [`MAX_CODE_LEN`] iterations
-/// per symbol.
+/// Codes of up to [`PRIMARY_BITS`] bits decode with one table lookup on the
+/// next [`PRIMARY_BITS`] bits of the stream: an entry is `symbol << 4 | len`
+/// and every slot whose low `len` bits spell the code holds it. Longer
+/// codes (and bit patterns no code claims) leave their slots zero and fall
+/// back to the classic canonical loop (`first_code`/`first_symbol` per
+/// length), one bit at a time, at most [`MAX_CODE_LEN`] iterations.
 #[derive(Debug, Clone)]
 pub struct Decoder {
     /// count[l] = number of codes of length l.
-    count: Vec<u32>,
+    count: [u32; MAX_CODE_LEN as usize + 1],
     /// Symbols sorted by (length, symbol).
     symbols: Vec<u32>,
+    /// `symbol << 4 | len` per [`PRIMARY_BITS`]-bit prefix; 0 = fall back.
+    primary: Box<[u16; 1 << PRIMARY_BITS]>,
 }
 
 impl Decoder {
@@ -189,35 +192,63 @@ impl Decoder {
     /// # Errors
     ///
     /// Returns an error if the lengths oversubscribe the code space (which
-    /// would make decoding ambiguous).
+    /// would make decoding ambiguous) or the alphabet has more than 4096
+    /// symbols (a table entry keeps the symbol in 12 bits).
     pub fn from_lengths(lens: &[u32]) -> Result<Self, CodecError> {
-        let max = lens.iter().copied().max().unwrap_or(0);
-        if max > MAX_CODE_LEN {
-            return Err(CodecError::new("huffman: code length exceeds limit"));
+        if lens.len() > 1 << 12 {
+            return Err(CodecError::new("huffman: alphabet too large"));
         }
-        let slots = MAX_CODE_LEN as usize;
-        let mut count = vec![0u32; slots + 1];
-        for &l in lens {
-            // `l <= MAX_CODE_LEN` was checked above, so the slot exists.
-            if l > 0 {
-                if let Some(slot) = count.get_mut(l as usize) {
-                    *slot += 1;
-                }
-            }
+        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        for &l in lens.iter().filter(|&&l| l > 0) {
+            *count
+                .get_mut(l as usize)
+                .ok_or_else(|| CodecError::new("huffman: code length exceeds limit"))? += 1;
         }
         // Validate the Kraft sum.
         let unit = 1u64 << MAX_CODE_LEN;
         let kraft: u64 = (1..=MAX_CODE_LEN)
-            .map(|l| u64::from(count.get(l as usize).copied().unwrap_or(0)) << (MAX_CODE_LEN - l))
+            .zip(count.iter().skip(1))
+            .map(|(l, &c)| u64::from(c) << (MAX_CODE_LEN - l))
             .sum();
         if kraft > unit {
             return Err(CodecError::new("huffman: oversubscribed code lengths"));
         }
-        let mut symbols: Vec<u32> = (0..lens.len() as u32)
-            .filter(|&s| lens.get(s as usize).is_some_and(|&l| l > 0))
-            .collect();
-        symbols.sort_by_key(|&s| (lens.get(s as usize).copied().unwrap_or(0), s));
-        Ok(Self { count, symbols })
+        // Per length: the next canonical code and the next slot of
+        // `symbols` (symbols sorted by (length, symbol)).
+        let mut next = [(0u32, 0u32); MAX_CODE_LEN as usize + 1];
+        let (mut code, mut index, mut shorter) = (0u32, 0u32, 0u32);
+        for (slot, &c) in next.iter_mut().zip(&count).skip(1) {
+            code = (code + shorter) << 1;
+            *slot = (code, index);
+            index += c;
+            shorter = c;
+        }
+        let mut symbols = vec![0u32; index as usize];
+        let mut primary = Box::new([0u16; 1 << PRIMARY_BITS]);
+        for (symbol, &len) in lens.iter().enumerate().filter(|(_, &len)| len > 0) {
+            let Some((code, index)) = next.get_mut(len as usize) else {
+                continue; // Lengths were bounded while counting.
+            };
+            if let Some(slot) = symbols.get_mut(*index as usize) {
+                *slot = symbol as u32;
+            }
+            if len <= PRIMARY_BITS {
+                // Codes go out bit-reversed, i.e. in stream order: the code
+                // is the low `len` bits of every slot it owns.
+                let entry = (symbol as u16) << 4 | len as u16;
+                let first = reverse_bits(*code, len) as usize;
+                for slot in primary.iter_mut().skip(first).step_by(1 << len) {
+                    *slot = entry;
+                }
+            }
+            *code += 1;
+            *index += 1;
+        }
+        Ok(Self {
+            count,
+            symbols,
+            primary,
+        })
     }
 
     /// Decodes one symbol from the reader.
@@ -225,8 +256,21 @@ impl Decoder {
     /// # Errors
     ///
     /// Returns an error on truncation or an invalid code.
-    #[inline]
+    #[inline(always)]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
+        let prefix = r.peek(PRIMARY_BITS) as usize;
+        let entry = self.primary.get(prefix).copied().unwrap_or(0);
+        let len = u32::from(entry & 0xf);
+        if len == 0 {
+            return self.decode_long(r);
+        }
+        r.consume(len)?;
+        Ok(u32::from(entry >> 4))
+    }
+
+    /// The canonical bit-at-a-time decode: codes longer than the primary
+    /// table is wide, and prefixes that belong to no code.
+    fn decode_long(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
         let mut code: u32 = 0; // Code value, MSB-first semantics.
         let mut first: u32 = 0; // First canonical code of this length.
         let mut index: u32 = 0; // Index of first symbol of this length.
@@ -301,6 +345,68 @@ mod tests {
         // Must still be a valid prefix code.
         assert!(Decoder::from_lengths(&lens).is_ok());
         let stream: Vec<usize> = (0..40).collect();
+        roundtrip(&freqs, &stream);
+    }
+
+    #[test]
+    fn table_decode_equals_the_canonical_loop() {
+        // Random valid length tables, short codes and long ones mixed: every
+        // symbol must decode the same through the primary table as through
+        // the bit-at-a-time loop, and the two must leave the reader at the
+        // same bit.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut long_codes = 0;
+        for round in 0..40 {
+            let n = 2 + next(285) as usize;
+            // Cubing skews the weights enough to push the rare symbols
+            // past the primary table's width.
+            let freqs: Vec<u64> = (0..n).map(|_| next(60).pow(3)).collect();
+            let lens = code_lengths(&freqs);
+            let live: Vec<usize> = (0..n).filter(|&s| lens[s] > 0).collect();
+            if live.is_empty() {
+                continue;
+            }
+            long_codes += lens.iter().filter(|&&l| l > PRIMARY_BITS).count();
+            let enc = Encoder::from_lengths(&lens);
+            let dec = Decoder::from_lengths(&lens).unwrap();
+            let stream: Vec<usize> = (0..500).map(|_| live[next(live.len() as u64) as usize]).collect();
+            let mut w = BitWriter::new();
+            for &s in &stream {
+                enc.encode(&mut w, s);
+            }
+            let buf = w.finish();
+            let (mut fast, mut slow) = (BitReader::new(&buf), BitReader::new(&buf));
+            for &s in &stream {
+                assert_eq!(dec.decode(&mut fast).unwrap() as usize, s, "round {round}");
+                assert_eq!(dec.decode_long(&mut slow).unwrap() as usize, s, "round {round}");
+                assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+            }
+        }
+        assert!(long_codes > 100, "only {long_codes} codes took the fallback");
+    }
+
+    #[test]
+    fn long_codes_take_the_fallback() {
+        // Fibonacci weights: code lengths 1, 2, 3, ... up to the limit, so
+        // the rare symbols are past the primary table and own no slot.
+        let mut freqs = vec![0u64; 24];
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in freqs.iter_mut().rev() {
+            *f = a;
+            (a, b) = (b, a + b);
+        }
+        let lens = code_lengths(&freqs);
+        let long: Vec<usize> = (0..freqs.len()).filter(|&s| lens[s] > PRIMARY_BITS).collect();
+        assert!(long.len() >= 4, "lengths {lens:?}");
+        let dec = Decoder::from_lengths(&lens).unwrap();
+        assert!(dec.primary.iter().all(|&e| e == 0 || !long.contains(&usize::from(e >> 4))));
+        let stream: Vec<usize> = long.iter().copied().chain(0..freqs.len()).collect();
         roundtrip(&freqs, &stream);
     }
 

@@ -3,6 +3,8 @@
 //! Produces a token stream of literals and `(length, distance)` matches that
 //! the [`crate::deflate`] and [`crate::lzma_lite`] codecs entropy-code.
 
+use crate::CodecError;
+
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Token {
@@ -216,7 +218,50 @@ fn common_prefix(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     strsearch::swar::common_prefix(wa, wb)
 }
 
-/// Expands a token stream back into bytes (the shared LZ77 "copy" loop).
+/// Appends `len` bytes to `out`, copied from `dist` bytes behind its end —
+/// the back-reference copy every LZ77 decoder here shares. A short match
+/// far enough back goes as whole 8-byte words, trimmed; otherwise a match
+/// that does not reach its own output (`dist >= len`) is one block copy and
+/// an overlapping one repeats the last `dist` bytes, doubling the block
+/// copied each round (everything from the match source to the end of `out`
+/// has period `dist`, so it is all valid source).
+///
+/// # Errors
+///
+/// Returns an error if `dist` is zero or reaches before the start of `out`.
+#[inline]
+pub fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) -> Result<(), CodecError> {
+    let start = match out.len().checked_sub(dist) {
+        Some(start) if dist != 0 => start,
+        _ => return Err(CodecError::new("lz77: distance out of range")),
+    };
+    // Whole words overshoot `len` by up to seven bytes before the trim:
+    // only where the buffer has that room already, so a decoder's exact
+    // reservation is never grown (doubled) for bytes that are cut again.
+    if dist >= 8 && len <= 32 && out.capacity() - out.len() >= len + 7 {
+        let end = out.len() + len;
+        let mut from = start;
+        while out.len() < end {
+            // Each word lies `dist >= 8` bytes behind the end: all there.
+            let Some(word) = out.get(from..).and_then(|t| t.first_chunk::<8>()).copied() else {
+                break;
+            };
+            out.extend_from_slice(&word);
+            from += 8;
+        }
+        out.truncate(end);
+        return Ok(());
+    }
+    let mut remaining = len;
+    while remaining > 0 {
+        let n = remaining.min(out.len() - start);
+        out.extend_from_within(start..start + n);
+        remaining -= n;
+    }
+    Ok(())
+}
+
+/// Expands a token stream back into bytes.
 ///
 /// # Errors
 ///
@@ -226,17 +271,7 @@ pub fn expand_into(tokens: &[Token], out: &mut Vec<u8>) -> Result<(), usize> {
         match *t {
             Token::Literal(b) => out.push(b),
             Token::Match { len, dist } => {
-                let dist = dist as usize;
-                if dist == 0 || dist > out.len() {
-                    return Err(out.len());
-                }
-                let start = out.len() - dist;
-                // Overlapping copies must proceed byte by byte.
-                for i in 0..len as usize {
-                    // lint:allow(no-panic-in-decode) — dist ≤ out.len() above; out grows past start+i before each read
-                    let b = out[start + i];
-                    out.push(b);
-                }
+                copy_match(out, dist as usize, len as usize).map_err(|_| out.len())?;
             }
         }
     }
@@ -291,6 +326,34 @@ mod tests {
         roundtrip(&data, Lz77Params::DEFLATE);
         let tokens = MatchFinder::new(&data, Lz77Params::DEFLATE).tokenize();
         assert!(tokens.len() < 20);
+    }
+
+    #[test]
+    fn copy_match_equals_the_bytewise_loop() {
+        let seed: Vec<u8> = (0..40u8).map(|i| b'a' + i % 7).collect();
+        for dist in 1..=seed.len() {
+            for len in 0..130 {
+                let mut want = seed.clone();
+                for i in 0..len {
+                    want.push(want[seed.len() - dist + i]);
+                }
+                // Without spare capacity (block copies only) and with it
+                // (short matches go wordwise).
+                for spare in [0, 64] {
+                    let mut got = Vec::with_capacity(seed.len() + spare);
+                    got.extend_from_slice(&seed);
+                    copy_match(&mut got, dist, len).unwrap();
+                    assert_eq!(got, want, "dist {dist} len {len} spare {spare}");
+                    if spare >= len + 7 {
+                        assert_eq!(got.capacity(), seed.len() + spare, "grew for a trimmed word");
+                    }
+                }
+            }
+        }
+        let mut out = seed.clone();
+        assert!(copy_match(&mut out, 0, 3).is_err());
+        assert!(copy_match(&mut out, seed.len() + 1, 3).is_err());
+        assert_eq!(out, seed, "a rejected match writes nothing");
     }
 
     #[test]

@@ -16,6 +16,7 @@ pub const DESIGNATED: &[(&str, ScopeSpec)] = &[
     ("crates/loggrep/src/vector.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/pattern.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/query/exec.rs", ScopeSpec::WholeFile),
+    ("crates/loggrep/src/query/render.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/query/session.rs", ScopeSpec::WholeFile),
     ("crates/cli/src/lib.rs", ScopeSpec::WholeFile),
     ("crates/strsearch/src/fixed.rs", ScopeSpec::WholeFile),
@@ -39,14 +40,17 @@ pub const DESIGNATED: &[(&str, ScopeSpec)] = &[
         "crates/codec/src/cm1.rs",
         ScopeSpec::Functions(&["decompress", "decompress_into"]),
     ),
-    ("crates/codec/src/huffman.rs", ScopeSpec::Functions(&["from_lengths", "decode"])),
-    ("crates/codec/src/bitio.rs", ScopeSpec::Functions(&["read_bit", "read_bits", "refill", "align_byte"])),
+    ("crates/codec/src/huffman.rs", ScopeSpec::Functions(&["from_lengths", "decode", "decode_long"])),
+    (
+        "crates/codec/src/bitio.rs",
+        ScopeSpec::Functions(&["read_bit", "read_bits", "peek", "consume", "refill", "align_byte"]),
+    ),
     (
         "crates/codec/src/rangecoder.rs",
         ScopeSpec::Functions(&["new", "next_byte", "decode_bit", "decode_direct", "decode"]),
     ),
     ("crates/codec/src/varint.rs", ScopeSpec::Functions(&["get_uvarint"])),
-    ("crates/codec/src/lz77.rs", ScopeSpec::Functions(&["expand_into"])),
+    ("crates/codec/src/lz77.rs", ScopeSpec::Functions(&["copy_match", "expand_into"])),
 ];
 
 /// The scope designated for `rel` (forward-slash relative path), if any.

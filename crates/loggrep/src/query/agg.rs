@@ -27,6 +27,7 @@ use crate::extract::nominal::parse_index;
 use crate::query::exec::{ExecCtx, Selection};
 use crate::query::lang::{AggSpec, Query};
 use crate::query::plan::AggTargetKind;
+use crate::query::render::{Dict, Op};
 use crate::stats::{AggLayer, QueryStats};
 use crate::vector::VectorMeta;
 use std::collections::HashMap;
@@ -281,7 +282,7 @@ impl Archive {
             ctx.run_agg(query.as_ref(), spec, line_offset)?
         };
 
-        let mut stats = std::mem::take(&mut ctx.stats);
+        let mut stats = ctx.take_stats();
         {
             let _span = telemetry::span("teardown");
             drop(ctx);
@@ -488,6 +489,8 @@ impl ExecCtx<'_> {
                 // from metadata. Variable-bearing patterns read the
                 // dictionary Capsule (never the index Capsule).
                 let regions = VectorMeta::dict_regions(patterns)?;
+                let mut dict = Dict::new(&self.payloads, patterns, *dict_cap)?;
+                let mut read_dictionary = false;
                 let mut out = Vec::new();
                 for (p, region) in patterns.iter().zip(&regions) {
                     let const_only = p.pattern.sub_vars() == 0;
@@ -503,11 +506,14 @@ impl ExecCtx<'_> {
                         if const_only {
                             p.pattern.render_into(&[] as &[&[u8]], &mut value);
                         } else {
-                            self.note_layer(AggLayer::Dictionary);
-                            self.dict_value_into(patterns, *dict_cap, idx, &mut value)?;
+                            read_dictionary = true;
+                            dict.append(idx, &mut value)?;
                         }
                         out.push((value, c));
                     }
+                }
+                if read_dictionary {
+                    self.note_layer(AggLayer::Dictionary);
                 }
                 out
             }
@@ -516,14 +522,15 @@ impl ExecCtx<'_> {
                 // value per selected row (never the whole line).
                 self.note_layer(AggLayer::Reconstruct);
                 let mut map: HashMap<Vec<u8>, u64> = HashMap::new();
-                let mut subs: Vec<Vec<u8>> = Vec::new();
+                let mut values = Op::for_vector(&self.payloads, vector)?;
                 let mut value = Vec::new();
                 let rows: Vec<u32> = match &selected {
                     None => (0..group.rows()).collect(),
                     Some(rows) => rows.clone(),
                 };
                 for row in rows {
-                    self.slot_value_into(template, slot, row, &mut subs, &mut value)?;
+                    value.clear();
+                    values.append(row, &mut value)?;
                     *map.entry(value.clone()).or_insert(0) += 1;
                 }
                 map.into_iter().collect()

@@ -9,11 +9,13 @@ use crate::extract::DictPattern;
 use crate::pattern::{RuntimePattern, Segment};
 use crate::query::lang::{Expr, Query, SearchString};
 use crate::query::plan::{plan, Conj, Mode, Plan, SegRef};
+use crate::query::render::{group_ops, Op};
 use crate::rowset::RowSet;
 use crate::stats::QueryStats;
 use crate::vector::VectorMeta;
 use crate::PAD;
 use logparse::{Piece, DEFAULT_DELIMS};
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::time::Instant;
 use strsearch::FixedRows;
@@ -76,7 +78,7 @@ impl Archive {
             let _span = telemetry::span("reconstruct");
             ctx.reconstruct(&line_numbers)?
         };
-        let mut stats = std::mem::take(&mut ctx.stats);
+        let mut stats = ctx.take_stats();
         {
             // Payload buffers return to the arena here.
             let _span = telemetry::span("teardown");
@@ -93,7 +95,7 @@ impl Archive {
     /// Reconstructs every stored line in original order (the full-decompress
     /// path, used by tests and the `ggrep`-style fallback).
     pub fn reconstruct_all(&self) -> Result<Vec<Vec<u8>>> {
-        let mut ctx = ExecCtx::new(self);
+        let ctx = ExecCtx::new(self);
         let all: Vec<u32> = (0..self.boxed.total_lines).collect();
         ctx.reconstruct(&all)
     }
@@ -117,50 +119,122 @@ pub(crate) enum Selection {
 struct Loaded {
     bytes: Vec<u8>,
     /// Row byte-ranges of a delimited Capsule, computed on first row access.
-    ranges: Option<Vec<(usize, usize)>>,
+    ranges: OnceCell<Vec<(usize, usize)>>,
 }
 
-/// Per-query execution context: the archive handle, the query's statistics,
-/// and its decompressed Capsules in a table indexed by Capsule id, so each
-/// Capsule is decompressed at most once per query and the per-row render
-/// path is one slice index. Reads are serial per block (blocks are the
-/// unit of parallelism), so the context never crosses a thread.
-pub(crate) struct ExecCtx<'a> {
-    pub(crate) archive: &'a Archive,
-    pub(crate) stats: QueryStats,
-    loaded: Vec<Option<Loaded>>,
-    scratch: RenderScratch,
+/// A query's decompressed Capsules, in a table indexed by Capsule id: each
+/// Capsule is decompressed at most once per query, on first use, into a
+/// buffer of the archive's arena. Cells are written once behind a shared
+/// reference, so the column readers of `query::render` can hold payload
+/// slices while further Capsules load. Reads are serial per block (blocks
+/// are the unit of parallelism), so the table never crosses a thread.
+pub(crate) struct Payloads<'a> {
+    archive: &'a Archive,
+    cells: Vec<OnceCell<Loaded>>,
 }
 
-impl Drop for ExecCtx<'_> {
+impl Drop for Payloads<'_> {
     /// Returns the query's decompressed payload buffers to the archive's
     /// arena so the next query reuses their capacity instead of
     /// re-allocating megabytes of Vecs.
     fn drop(&mut self) {
-        for loaded in self.loaded.drain(..).flatten() {
+        for loaded in self.cells.drain(..).filter_map(OnceCell::into_inner) {
             self.archive.return_buffer(loaded.bytes);
         }
     }
 }
 
-impl<'a> ExecCtx<'a> {
-    pub(crate) fn new(archive: &'a Archive) -> Self {
-        let mut loaded = Vec::new();
-        loaded.resize_with(archive.boxed.capsules.len(), || None);
-        Self {
-            archive,
-            stats: QueryStats::default(),
-            loaded,
-            scratch: RenderScratch::default(),
-        }
-    }
-
+impl<'a> Payloads<'a> {
     pub(crate) fn meta(&self, id: u32) -> Result<&'a CapsuleMeta> {
         self.archive
             .boxed
             .capsules
             .get(id as usize)
             .ok_or_else(|| Error::Corrupt(format!("capsule id {id} out of range")))
+    }
+
+    /// The table entry of one Capsule, decompressing it on first use.
+    fn load(&self, id: u32) -> Result<&Loaded> {
+        let cell = self
+            .cells
+            .get(id as usize)
+            .ok_or_else(|| Error::Corrupt(format!("capsule id {id} out of range")))?;
+        if let Some(loaded) = cell.get() {
+            return Ok(loaded);
+        }
+        // The buffer comes from (and on drop returns to) the archive arena.
+        let _span = telemetry::span("decompress");
+        let mut bytes = self.archive.take_buffer();
+        if let Err(e) = self.archive.boxed.decompress_capsule_into(id, &mut bytes) {
+            self.archive.return_buffer(bytes);
+            return Err(e);
+        }
+        telemetry::counter!("query.capsules_decompressed", 1);
+        telemetry::counter!("query.bytes_decompressed", bytes.len() as u64);
+        Ok(cell.get_or_init(|| Loaded {
+            bytes,
+            ranges: OnceCell::new(),
+        }))
+    }
+
+    /// One Capsule's decompressed payload.
+    pub(crate) fn bytes(&self, id: u32) -> Result<&[u8]> {
+        Ok(&self.load(id)?.bytes)
+    }
+
+    /// The byte range of each row of a delimited Capsule's payload.
+    pub(crate) fn row_ranges(&self, id: u32) -> Result<&[(usize, usize)]> {
+        let Loaded { bytes, ranges } = self.load(id)?;
+        if let Some(ranges) = ranges.get() {
+            return Ok(ranges);
+        }
+        let mut found = Vec::new();
+        let mut start = 0usize;
+        for (i, &b) in bytes.iter().enumerate() {
+            if b == b'\n' {
+                found.push((start, i));
+                start = i + 1;
+            }
+        }
+        if start != bytes.len() {
+            return Err(Error::Corrupt("delimited capsule missing trailer".into()));
+        }
+        Ok(ranges.get_or_init(|| found))
+    }
+}
+
+/// Per-query execution context: the archive handle, the query's statistics
+/// and its decompressed Capsules.
+pub(crate) struct ExecCtx<'a> {
+    pub(crate) archive: &'a Archive,
+    pub(crate) stats: QueryStats,
+    pub(crate) payloads: Payloads<'a>,
+}
+
+impl<'a> ExecCtx<'a> {
+    pub(crate) fn new(archive: &'a Archive) -> Self {
+        let mut cells = Vec::new();
+        cells.resize_with(archive.boxed.capsules.len(), OnceCell::new);
+        Self {
+            archive,
+            stats: QueryStats::default(),
+            payloads: Payloads { archive, cells },
+        }
+    }
+
+    /// Moves the statistics out, with the decompression counts read off
+    /// the payload table (one entry per Capsule decompressed).
+    pub(crate) fn take_stats(&mut self) -> QueryStats {
+        let mut stats = std::mem::take(&mut self.stats);
+        for loaded in self.payloads.cells.iter().filter_map(OnceCell::get) {
+            stats.capsules_decompressed += 1;
+            stats.bytes_decompressed += loaded.bytes.len() as u64;
+        }
+        stats
+    }
+
+    pub(crate) fn meta(&self, id: u32) -> Result<&'a CapsuleMeta> {
+        self.payloads.meta(id)
     }
 
     pub(crate) fn group(&self, gid: usize) -> Result<&'a crate::boxfile::GroupMeta> {
@@ -171,90 +245,9 @@ impl<'a> ExecCtx<'a> {
             .ok_or_else(|| Error::Corrupt(format!("group {gid} out of range")))
     }
 
-    /// The table entry of one Capsule, decompressing it on first use.
-    fn load(&mut self, id: u32) -> Result<&mut Loaded> {
-        let archive = self.archive;
-        let slot = self
-            .loaded
-            .get_mut(id as usize)
-            .ok_or_else(|| Error::Corrupt(format!("capsule id {id} out of range")))?;
-        Ok(match slot {
-            Some(loaded) => loaded,
-            None => {
-                // The buffer comes from (and on drop returns to) the
-                // archive arena.
-                let _span = telemetry::span("decompress");
-                let mut bytes = archive.take_buffer();
-                if let Err(e) = archive.boxed.decompress_capsule_into(id, &mut bytes) {
-                    archive.return_buffer(bytes);
-                    return Err(e);
-                }
-                self.stats.capsules_decompressed += 1;
-                self.stats.bytes_decompressed += bytes.len() as u64;
-                telemetry::counter!("query.capsules_decompressed", 1);
-                telemetry::counter!("query.bytes_decompressed", bytes.len() as u64);
-                slot.insert(Loaded {
-                    bytes,
-                    ranges: None,
-                })
-            }
-        })
-    }
-
     /// One Capsule's decompressed payload.
-    pub(crate) fn payload(&mut self, id: u32) -> Result<&[u8]> {
-        Ok(&self.load(id)?.bytes)
-    }
-
-    /// The bytes of `row` in a delimited Capsule.
-    fn delimited_row(&mut self, id: u32, row: u32) -> Result<&[u8]> {
-        let Loaded { bytes, ranges } = self.load(id)?;
-        let ranges = match ranges {
-            Some(ranges) => ranges,
-            None => {
-                let mut found = Vec::new();
-                let mut start = 0usize;
-                for (i, &b) in bytes.iter().enumerate() {
-                    if b == b'\n' {
-                        found.push((start, i));
-                        start = i + 1;
-                    }
-                }
-                if start != bytes.len() {
-                    return Err(Error::Corrupt("delimited capsule missing trailer".into()));
-                }
-                ranges.insert(found)
-            }
-        };
-        let &(lo, hi) = ranges
-            .get(row as usize)
-            .ok_or_else(|| Error::Corrupt("capsule row out of range".into()))?;
-        bytes
-            .get(lo..hi)
-            .ok_or_else(|| Error::Corrupt("capsule row range outside payload".into()))
-    }
-
-    /// The unpadded value of `row` in a Capsule, appended into `out`
-    /// (cleared first) so render loops reuse one buffer per slot.
-    fn capsule_value_into(&mut self, id: u32, row: u32, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        match self.meta(id)?.layout {
-            Layout::Padded { width } => {
-                let payload = self.payload(id)?;
-                let width = width as usize;
-                if width == 0 || payload.len() % width != 0 {
-                    return Err(Error::Corrupt("capsule payload misaligned".into()));
-                }
-                let f = FixedRows::new(payload, width, PAD);
-                if (row as usize) >= f.rows() {
-                    return Err(Error::Corrupt("capsule row out of range".into()));
-                }
-                out.extend_from_slice(f.value(row as usize));
-            }
-            Layout::Delimited => out.extend_from_slice(self.delimited_row(id, row)?),
-            Layout::Raw => return Err(Error::Corrupt("raw capsule has no row addressing".into())),
-        }
-        Ok(())
+    pub(crate) fn payload(&self, id: u32) -> Result<&[u8]> {
+        self.payloads.bytes(id)
     }
 
     /// Rows of a Capsule whose values satisfy `(mode, needle)`.
@@ -287,10 +280,10 @@ impl<'a> ExecCtx<'a> {
         ok
     }
 
-    /// Counts one row materialized for wildcard/overflow verification.
-    fn note_row_verified(&mut self) {
-        self.stats.rows_verified += 1;
-        telemetry::counter!("query.rows_verified", 1);
+    /// Counts rows materialized for wildcard/overflow verification.
+    fn note_rows_verified(&mut self, rows: usize) {
+        self.stats.rows_verified += rows;
+        telemetry::counter!("query.rows_verified", rows as u64);
     }
 
     /// Runs the Capsule-locating planner (§5.1) under the `plan` span,
@@ -428,16 +421,19 @@ impl<'a> ExecCtx<'a> {
         rows: &[u32],
         pred: impl Fn(&[u8]) -> bool,
     ) -> Result<RowSet> {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut ops = group_ops(&self.payloads, self.group(gid)?)?;
+        let mut line = Vec::new();
         let mut hits = Vec::new();
         for &row in rows {
-            self.render_row_into(gid, row, &mut scratch)?;
-            self.note_row_verified();
-            if pred(&scratch.line) {
+            line.clear();
+            for op in &mut ops {
+                op.append(row, &mut line)?;
+            }
+            if pred(&line) {
                 hits.push(row);
             }
         }
-        self.scratch = scratch;
+        self.note_rows_verified(rows.len());
         Ok(RowSet::from_sorted(hits))
     }
 
@@ -531,10 +527,9 @@ impl<'a> ExecCtx<'a> {
                 outlier_rows,
             } => {
                 let mut out = self.eval_real_pattern(
-                    gid,
-                    slot,
                     pattern,
                     sub_caps,
+                    *outlier_cap,
                     outlier_rows,
                     nrows,
                     needle,
@@ -571,10 +566,9 @@ impl<'a> ExecCtx<'a> {
     #[allow(clippy::too_many_arguments)]
     fn eval_real_pattern(
         &mut self,
-        gid: usize,
-        slot: usize,
         pattern: &RuntimePattern,
         sub_caps: &[u32],
+        outlier_cap: u32,
         outlier_rows: &[u32],
         nrows: u32,
         needle: &[u8],
@@ -592,20 +586,21 @@ impl<'a> ExecCtx<'a> {
         match self.plan_timed(&segs, needle, mode) {
             Plan::All => Ok(RowSet::from_sorted(pattern_rows())),
             Plan::Overflow => {
-                // Scan the variable vector by materializing values into
-                // reused scratch buffers.
+                // Scan the variable vector by materializing the values of
+                // its pattern rows into one reused buffer.
                 let map = pattern_rows();
-                let mut subs: Vec<Vec<u8>> = Vec::new();
+                let mut values =
+                    Op::real(&self.payloads, pattern, sub_caps, outlier_cap, outlier_rows)?;
                 let mut value = Vec::new();
                 let mut hits = Vec::new();
-                for (pr, &row) in map.iter().enumerate() {
-                    self.real_value_into(pattern, sub_caps, pr as u32, &mut subs, &mut value)?;
-                    self.note_row_verified();
+                for &row in &map {
+                    value.clear();
+                    values.append(row, &mut value)?;
                     if value_matches(&value, needle, mode) {
                         hits.push(row);
                     }
                 }
-                let _ = (gid, slot);
+                self.note_rows_verified(map.len());
                 Ok(RowSet::from_sorted(hits))
             }
             Plan::Conjs(conjs) => {
@@ -771,132 +766,8 @@ impl<'a> ExecCtx<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Value reconstruction.
+    // Reconstruction.
     // ------------------------------------------------------------------
-
-    /// The value of sub-variable capsules assembled through a pattern,
-    /// rendered into `out` (cleared first). `subs` is the caller's reusable
-    /// per-sub-variable scratch.
-    fn real_value_into(
-        &mut self,
-        pattern: &RuntimePattern,
-        sub_caps: &[u32],
-        pattern_row: u32,
-        subs: &mut Vec<Vec<u8>>,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        if subs.len() < sub_caps.len() {
-            subs.resize_with(sub_caps.len(), Vec::new);
-        }
-        for (sub, &cap) in subs.iter_mut().zip(sub_caps) {
-            self.capsule_value_into(cap, pattern_row, sub)?;
-        }
-        pattern.render_into(subs.get(..sub_caps.len()).unwrap_or_default(), out);
-        Ok(())
-    }
-
-    /// The value of slot `slot` on group row `row`, rendered into `out`
-    /// (cleared first). `subs` is the caller's reusable sub-variable
-    /// scratch for pattern-decomposed vectors.
-    pub(crate) fn slot_value_into(
-        &mut self,
-        gid: usize,
-        slot: usize,
-        row: u32,
-        subs: &mut Vec<Vec<u8>>,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let vector = self
-            .group(gid)?
-            .vectors
-            .get(slot)
-            .ok_or_else(|| Error::Corrupt("template slot outside vector table".into()))?;
-        match vector {
-            VectorMeta::Plain { capsule } => self.capsule_value_into(*capsule, row, out),
-            VectorMeta::Real {
-                pattern,
-                sub_caps,
-                outlier_cap,
-                outlier_rows,
-            } => match outlier_rows.binary_search(&row) {
-                Ok(outlier_pos) => self.capsule_value_into(*outlier_cap, outlier_pos as u32, out),
-                Err(outliers_before) => {
-                    let pattern_row = row - outliers_before as u32;
-                    self.real_value_into(pattern, sub_caps, pattern_row, subs, out)
-                }
-            },
-            VectorMeta::Nominal {
-                patterns,
-                dict_cap,
-                index_cap,
-                ..
-            } => {
-                self.capsule_value_into(*index_cap, row, out)?;
-                let idx =
-                    parse_index(out).ok_or_else(|| Error::Corrupt("bad index value".into()))?;
-                self.dict_value_into(patterns, *dict_cap, idx, out)
-            }
-        }
-    }
-
-    /// The dictionary value with global index `idx`, rendered into `out`
-    /// (cleared first).
-    pub(crate) fn dict_value_into(
-        &mut self,
-        patterns: &[DictPattern],
-        dict_cap: u32,
-        idx: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let fixed = matches!(self.meta(dict_cap)?.layout, Layout::Raw);
-        if fixed {
-            out.clear();
-            let regions = VectorMeta::dict_regions(patterns)?;
-            let region = regions
-                .iter()
-                .rev()
-                .find(|r| r.first_index <= idx)
-                .ok_or_else(|| Error::Corrupt("dict index out of range".into()))?;
-            if idx - region.first_index >= region.count {
-                return Err(Error::Corrupt("dict index out of range".into()));
-            }
-            let payload = self.payload(dict_cap)?;
-            let bytes = region_bytes(payload, region)?;
-            let width = region.width as usize;
-            let rows = FixedRows::new(bytes, width, PAD);
-            let local = (idx - region.first_index) as usize;
-            if local >= rows.rows() && width > 0 {
-                return Err(Error::Corrupt("dict index outside region".into()));
-            }
-            if width == 0 {
-                // A zero-width region stores only empty values.
-                return Ok(());
-            }
-            out.extend_from_slice(rows.value(local));
-            Ok(())
-        } else {
-            self.capsule_value_into(dict_cap, idx, out)
-        }
-    }
-
-    /// Renders the full original line of group row `row` into
-    /// `scratch.line`, materializing each slot value into the scratch's
-    /// reused buffers — only this row's column values are ever touched.
-    fn render_row_into(&mut self, gid: usize, row: u32, scratch: &mut RenderScratch) -> Result<()> {
-        let group = self.group(gid)?;
-        let slots = group.vectors.len();
-        if scratch.values.len() < slots {
-            scratch.values.resize_with(slots, Vec::new);
-        }
-        let RenderScratch { values, subs, line } = scratch;
-        for (slot, value) in values.iter_mut().take(slots).enumerate() {
-            self.slot_value_into(gid, slot, row, subs, value)?;
-        }
-        group
-            .template
-            .render_into(values.get(..slots).unwrap_or_default(), line);
-        Ok(())
-    }
 
     /// Reconstructs every row of a group and keeps those passing `pred`.
     fn brute_force_group(&mut self, gid: usize, pred: impl Fn(&[u8]) -> bool) -> Result<RowSet> {
@@ -905,44 +776,44 @@ impl<'a> ExecCtx<'a> {
         self.verify_rows(gid, &rows, pred)
     }
 
-    /// Reconstructs the given global line numbers, in ascending line order.
+    /// Reconstructs the given global line numbers (ascending, as every
+    /// caller has them), in that order.
     ///
     /// Groups hold their rows in original order, so entries of one group are
-    /// naturally ordered; across groups the stored line numbers (logical
-    /// timestamps) restore the global order, as in §3's Reconstruction.
-    fn reconstruct(&mut self, line_numbers: &[u32]) -> Result<Vec<Vec<u8>>> {
-        let wanted = RowSet::from_unsorted(line_numbers.to_vec());
+    /// naturally ordered (each group's outlier cursors only move forward);
+    /// across groups the stored line numbers (logical timestamps) restore
+    /// the global order, as in §3's Reconstruction.
+    fn reconstruct(&self, line_numbers: &[u32]) -> Result<Vec<Vec<u8>>> {
         let index = self.archive.line_index();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut out = Vec::with_capacity(wanted.len());
-        for lineno in wanted.iter() {
+        let groups = &self.archive.boxed.groups;
+        // One op list per group, compiled when its first line comes up.
+        let mut compiled: Vec<Option<Vec<Op<'_>>>> = Vec::new();
+        compiled.resize_with(groups.len(), || None);
+        let mut line = Vec::new();
+        let mut out = Vec::with_capacity(line_numbers.len());
+        for &lineno in line_numbers {
             let &(gid, row) = index
                 .get(lineno as usize)
                 .ok_or_else(|| Error::Corrupt("line number out of range".into()))?;
-            if gid == u32::MAX {
+            // A line no group claims is indexed as group `u32::MAX`, which
+            // is past every group too.
+            let (Some(slot), Some(group)) =
+                (compiled.get_mut(gid as usize), groups.get(gid as usize))
+            else {
                 return Err(Error::Corrupt("line number missing from groups".into()));
+            };
+            let ops = match slot {
+                Some(ops) => ops,
+                None => slot.insert(group_ops(&self.payloads, group)?),
+            };
+            line.clear();
+            for op in ops {
+                op.append(row, &mut line)?;
             }
-            self.render_row_into(gid as usize, row, &mut scratch)?;
-            out.push(scratch.line.clone());
+            out.push(line.clone());
         }
-        self.scratch = scratch;
         Ok(out)
     }
-}
-
-/// Reusable buffers for rendering rows: per-slot value buffers,
-/// sub-variable buffers and the rendered line, so rendering a row allocates
-/// nothing once they are warm — the row-level counterpart of the archive's
-/// payload arena. A query owns one; its render loops take it out of the
-/// context and put it back, and buffers grow to the widest row seen.
-#[derive(Default)]
-struct RenderScratch {
-    /// One value buffer per template slot.
-    values: Vec<Vec<u8>>,
-    /// One buffer per runtime-pattern sub-variable.
-    subs: Vec<Vec<u8>>,
-    /// The rendered line.
-    line: Vec<u8>,
 }
 
 /// Slices a dictionary region out of a decompressed payload, rejecting

@@ -6,6 +6,7 @@ pub mod exec;
 pub mod explain;
 pub mod lang;
 pub mod plan;
+mod render;
 pub mod session;
 
 pub use agg::{AggQueryResult, AggResult};

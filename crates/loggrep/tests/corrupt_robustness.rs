@@ -1,6 +1,6 @@
 //! Deterministic corrupt-archive mutation suite.
 //!
-//! Three mutation families over one serialized CapsuleBox:
+//! Four mutation families over one serialized CapsuleBox:
 //!
 //! 1. **truncation** at every cut point — `from_bytes` must return an error;
 //! 2. **whole-file bit flips** — any single flipped bit must be caught by
@@ -10,12 +10,20 @@
 //!    validation behind it — opening, decompressing every capsule and
 //!    querying must never panic, and a mutant that still opens must
 //!    report the original line count (`total_lines` is load-bearing for
-//!    the line index, so lying about it is not an acceptable outcome).
+//!    the line index, so lying about it is not an acceptable outcome);
+//! 4. **targeted lies** in exactly the fields the compiled renderer reads
+//!    per row — outlier rows, dictionary region widths, index digits,
+//!    Capsule payloads shorter than their group, Capsule row counts — each
+//!    re-serialized with a valid CRC: reading every line back must end in
+//!    `Error::Corrupt`, never a panic, an out-of-bounds slice or a
+//!    quietly wrong line.
 //!
 //! All randomness is a seeded xorshift, so failures reproduce exactly.
 
+use loggrep::capsule::Layout;
+use loggrep::vector::VectorMeta;
 use loggrep::wire::crc32;
-use loggrep::{Archive, LogGrep, LogGrepConfig};
+use loggrep::{Archive, CapsuleBox, Error, LogGrep, LogGrepConfig};
 
 /// A log mixing real-pattern (block ids, IPs), nominal-pattern (enum-like
 /// status tokens) and plain content, so the box contains every vector kind.
@@ -93,10 +101,14 @@ fn exercise(bytes: &[u8], original_lines: u32) -> bool {
     for id in 0..boxed.capsules.len() as u32 {
         let _ = boxed.decompress_capsule(id);
     }
+    // Whatever survives validation renders through the compiled group
+    // renderer: a damaged payload is a typed codec error, a damaged
+    // structure is `Corrupt`, and nothing else comes out.
+    let typed = |e: &Error| matches!(e, Error::Corrupt(_) | Error::Codec(_));
     for q in QUERIES {
-        let _ = archive.query(q);
+        assert!(archive.query(q).map_or_else(|e| typed(&e), |_| true), "query `{q}`");
     }
-    let _ = archive.reconstruct_all();
+    assert!(archive.reconstruct_all().map_or_else(|e| typed(&e), |_| true));
     true
 }
 
@@ -171,5 +183,158 @@ fn body_zero_fill_with_valid_crc_never_panics_or_lies() {
         mutant[start..end].fill(0);
         restamp(&mut mutant);
         exercise(&mutant, lines);
+    }
+}
+
+/// Real values with a minority the pattern cannot hold (outliers), a
+/// three-value dictionary, and a plain tail.
+fn lying_log() -> Vec<u8> {
+    let mut out = Vec::new();
+    for i in 0..400 {
+        let value = if i % 37 == 5 {
+            format!("?!odd{i}")
+        } else {
+            format!("blk_{:06x}", i * 7919)
+        };
+        let user = ["alice", "bob", "carol"][i % 3];
+        out.extend_from_slice(format!("store {value} by user:{user} code={}\n", i % 7).as_bytes());
+    }
+    out
+}
+
+/// Points Capsule `id` at `payload`, stored uncompressed at the end of the
+/// blob.
+fn replace_payload(boxed: &mut CapsuleBox, id: u32, payload: &[u8]) {
+    let packed = codec::by_name("store").expect("store codec").compress(payload);
+    let meta = &mut boxed.capsules[id as usize];
+    meta.offset = boxed.blob.len() as u64;
+    meta.clen = packed.len() as u64;
+    meta.codec = 0;
+    boxed.blob.extend_from_slice(&packed);
+}
+
+/// Re-serializes a lying box (valid CRC) and reads everything back. A lie
+/// may already be caught at open; one that opens must fail `Corrupt` when
+/// every line is rendered, and queries must stay typed.
+fn must_be_detected(what: &str, boxed: &CapsuleBox) {
+    let archive = match Archive::from_bytes(&boxed.to_bytes()) {
+        Ok(archive) => archive,
+        Err(e) => {
+            assert!(matches!(e, Error::Corrupt(_)), "{what}: open failed with {e}");
+            return;
+        }
+    };
+    for q in ["blk_0", "?!odd", "user:bob", "code=3 and carol", "st*re"] {
+        if let Err(e) = archive.query(q) {
+            assert!(matches!(e, Error::Corrupt(_)), "{what}: query `{q}`: {e}");
+        }
+    }
+    match archive.reconstruct_all() {
+        Err(Error::Corrupt(_)) => {}
+        other => panic!("{what}: reconstruct_all returned {:?}", other.map(|l| l.len())),
+    }
+}
+
+#[test]
+fn lies_in_the_fields_the_renderer_reads_end_in_corrupt() {
+    let raw = lying_log();
+    let honest = LogGrep::new(LogGrepConfig::default()).compress(&raw).unwrap();
+    let vectors = || honest.groups.iter().enumerate().flat_map(|(g, group)| {
+        group.vectors.iter().enumerate().map(move |(v, vector)| (g, v, vector))
+    });
+    let (rg, rv, sub_cap) = vectors()
+        .find_map(|(g, v, vector)| match vector {
+            VectorMeta::Real { outlier_rows, sub_caps, .. } if !outlier_rows.is_empty() => {
+                Some((g, v, *sub_caps.first()?))
+            }
+            _ => None,
+        })
+        .expect("the log has a real vector with outliers");
+    let (ng, nv, index_cap) = vectors()
+        .find_map(|(g, v, vector)| match vector {
+            VectorMeta::Nominal { index_cap, dict_len, .. } if *dict_len > 1 => {
+                Some((g, v, *index_cap))
+            }
+            _ => None,
+        })
+        .expect("the log has a nominal vector");
+    let outliers_of = |boxed: &mut CapsuleBox| match &mut boxed.groups[rg].vectors[rv] {
+        VectorMeta::Real { outlier_rows, .. } => std::mem::take(outlier_rows),
+        _ => unreachable!("found above"),
+    };
+    let set_outliers = |boxed: &mut CapsuleBox, rows: Vec<u32>| {
+        if let VectorMeta::Real { outlier_rows, .. } = &mut boxed.groups[rg].vectors[rv] {
+            *outlier_rows = rows;
+        }
+    };
+
+    // An outlier row the outlier Capsule holds no value for.
+    let mut lying = honest.clone();
+    let mut rows = outliers_of(&mut lying);
+    let extra = (0..).find(|r| !rows.contains(r)).expect("some row is no outlier");
+    rows.push(extra);
+    rows.sort_unstable();
+    set_outliers(&mut lying, rows);
+    must_be_detected("extra outlier row", &lying);
+
+    // An outlier row missing from the table: one pattern row too many for
+    // the sub-variable Capsules.
+    let mut lying = honest.clone();
+    let mut rows = outliers_of(&mut lying);
+    rows.pop();
+    set_outliers(&mut lying, rows);
+    must_be_detected("dropped outlier row", &lying);
+
+    // A dictionary region wider than the whole dictionary payload.
+    let mut lying = honest.clone();
+    if let VectorMeta::Nominal { patterns, .. } = &mut lying.groups[ng].vectors[nv] {
+        patterns[0].max_len = 1 << 20;
+    }
+    must_be_detected("oversized region width", &lying);
+
+    // Index rows that are not digits, then digits past the dictionary.
+    let Layout::Padded { width } = honest.capsules[index_cap as usize].layout else {
+        panic!("index capsules are padded");
+    };
+    let len = honest.decompress_capsule(index_cap).unwrap().len();
+    let mut lying = honest.clone();
+    replace_payload(&mut lying, index_cap, &vec![b'x'; len]);
+    must_be_detected("non-digit index", &lying);
+    let mut lying = honest.clone();
+    let rows = len / width as usize;
+    lying.capsules[index_cap as usize].layout = Layout::Padded { width: width + 1 };
+    replace_payload(&mut lying, index_cap, &vec![b'9'; rows * (width as usize + 1)]);
+    must_be_detected("index past the dictionary", &lying);
+
+    // A sub-variable Capsule holding half the rows its group has.
+    let mut lying = honest.clone();
+    let payload = honest.decompress_capsule(sub_cap).unwrap();
+    let Layout::Padded { width } = honest.capsules[sub_cap as usize].layout else {
+        panic!("sub-variable capsules are padded");
+    };
+    let half = payload.len() / width as usize / 2 * width as usize;
+    replace_payload(&mut lying, sub_cap, &payload[..half]);
+    must_be_detected("short sub-variable capsule", &lying);
+
+    // Every Capsule claiming one row more than its payload holds. The
+    // renderer addresses rows by payload, so the lines still come back;
+    // the searches that size their view by the count must refuse.
+    let mut lying = honest.clone();
+    for meta in &mut lying.capsules {
+        meta.rows += 1;
+    }
+    let archive = Archive::from_bytes(&lying.to_bytes()).expect("row counts are checked on use");
+    let mut refused = 0;
+    for q in ["blk_0", "?!odd", "user:bob", "code=3 and carol", "st*re"] {
+        match archive.query(q) {
+            Ok(_) => {}
+            Err(Error::Corrupt(_)) => refused += 1,
+            Err(e) => panic!("lying row counts: query `{q}`: {e}"),
+        }
+    }
+    assert!(refused > 0, "no search noticed the lying row counts");
+    match archive.reconstruct_all() {
+        Ok(lines) => assert_eq!(lines.len(), 400),
+        Err(e) => assert!(matches!(e, Error::Corrupt(_)), "lying row counts: {e}"),
     }
 }

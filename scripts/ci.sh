@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: static analysis, release build, the workspace test suite at two
-# worker-pool sizes, clippy with warnings denied, the differential-fuzzing
-# smokes and the perf-regression ratchet. Run from anywhere; operates on
-# the repository this script lives in.
+# worker-pool sizes, clippy with warnings denied, the benchmark package's
+# own tests, the differential-fuzzing smokes and the perf-regression
+# ratchet. Run from anywhere; operates on the repository this script lives
+# in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,13 @@ cargo run -q --release -p lint -- --no-cache --max-ms 10000 \
 LOGGREP_THREADS=1 cargo test -q --workspace
 LOGGREP_THREADS=4 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+
+# The benchmark package is a workspace of its own (suite/Cargo.toml), so
+# nothing above builds it: an engine API change that breaks the frozen
+# benchmark would otherwise first show when someone measures. Its tests
+# are determinism, the hit-rate filters, a quick end-to-end smoke and the
+# BENCHMARK.json schema, on the optimised build the benchmark measures.
+cargo test -q --release --manifest-path suite/Cargo.toml
 
 # Differential fuzzing smoke: a bounded seeded run of the whole engine
 # matrix (full, SP, every §6.3 ablation, each compressed at 1 and 4
