@@ -219,10 +219,9 @@ fn common_prefix(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 }
 
 /// Appends `len` bytes to `out`, copied from `dist` bytes behind its end —
-/// the back-reference copy every LZ77 decoder here shares. A short match
-/// far enough back goes as whole 8-byte words, trimmed; otherwise a match
-/// that does not reach its own output (`dist >= len`) is one block copy and
-/// an overlapping one repeats the last `dist` bytes, doubling the block
+/// the back-reference copy every LZ77 decoder here shares. A match that
+/// does not reach its own output (`dist >= len`) is one block copy; an
+/// overlapping one repeats the last `dist` bytes, doubling the block
 /// copied each round (everything from the match source to the end of `out`
 /// has period `dist`, so it is all valid source).
 ///
@@ -235,23 +234,6 @@ pub fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) -> Result<(), Code
         Some(start) if dist != 0 => start,
         _ => return Err(CodecError::new("lz77: distance out of range")),
     };
-    // Whole words overshoot `len` by up to seven bytes before the trim:
-    // only where the buffer has that room already, so a decoder's exact
-    // reservation is never grown (doubled) for bytes that are cut again.
-    if dist >= 8 && len <= 32 && out.capacity() - out.len() >= len + 7 {
-        let end = out.len() + len;
-        let mut from = start;
-        while out.len() < end {
-            // Each word lies `dist >= 8` bytes behind the end: all there.
-            let Some(word) = out.get(from..).and_then(|t| t.first_chunk::<8>()).copied() else {
-                break;
-            };
-            out.extend_from_slice(&word);
-            from += 8;
-        }
-        out.truncate(end);
-        return Ok(());
-    }
     let mut remaining = len;
     while remaining > 0 {
         let n = remaining.min(out.len() - start);
@@ -337,17 +319,9 @@ mod tests {
                 for i in 0..len {
                     want.push(want[seed.len() - dist + i]);
                 }
-                // Without spare capacity (block copies only) and with it
-                // (short matches go wordwise).
-                for spare in [0, 64] {
-                    let mut got = Vec::with_capacity(seed.len() + spare);
-                    got.extend_from_slice(&seed);
-                    copy_match(&mut got, dist, len).unwrap();
-                    assert_eq!(got, want, "dist {dist} len {len} spare {spare}");
-                    if spare >= len + 7 {
-                        assert_eq!(got.capacity(), seed.len() + spare, "grew for a trimmed word");
-                    }
-                }
+                let mut got = seed.clone();
+                copy_match(&mut got, dist, len).unwrap();
+                assert_eq!(got, want, "dist {dist} len {len}");
             }
         }
         let mut out = seed.clone();

@@ -489,7 +489,7 @@ impl ExecCtx<'_> {
                 // from metadata. Variable-bearing patterns read the
                 // dictionary Capsule (never the index Capsule).
                 let regions = VectorMeta::dict_regions(patterns)?;
-                let mut dict = Dict::new(&self.payloads, patterns, *dict_cap)?;
+                let mut dict = Dict::new(&self.payloads, *dict_cap)?;
                 let mut read_dictionary = false;
                 let mut out = Vec::new();
                 for (p, region) in patterns.iter().zip(&regions) {
@@ -507,7 +507,7 @@ impl ExecCtx<'_> {
                             p.pattern.render_into(&[] as &[&[u8]], &mut value);
                         } else {
                             read_dictionary = true;
-                            dict.append(idx, &mut value)?;
+                            dict.append(&regions, idx, &mut value)?;
                         }
                         out.push((value, c));
                     }

@@ -11,7 +11,6 @@ use crate::boxfile::GroupMeta;
 use crate::capsule::Layout;
 use crate::error::{Error, Result};
 use crate::extract::nominal::parse_index;
-use crate::extract::DictPattern;
 use crate::pattern::{RuntimePattern, Segment};
 use crate::query::exec::Payloads;
 use crate::vector::{DictRegion, VectorMeta};
@@ -27,61 +26,6 @@ fn corrupt(what: &str) -> Error {
 fn trim_pad(raw: &[u8]) -> &[u8] {
     let end = rfind_not_byte(raw, PAD).map_or(0, |p| p + 1);
     raw.get(..end).unwrap_or_default()
-}
-
-/// Bytes [`append_short`] copies at once.
-const WORD: usize = 16;
-
-/// Appends the first `len <= WORD` bytes of `word`: one whole-word copy,
-/// trimmed, instead of a variable-length one.
-fn append_short(out: &mut Vec<u8>, word: &[u8; WORD], len: usize) {
-    let end = out.len() + len;
-    out.extend_from_slice(word);
-    out.truncate(end);
-}
-
-/// Appends the unpadded value of the padded row `payload[start..][..width]`;
-/// `None` if the row lies outside the payload.
-fn append_padded(out: &mut Vec<u8>, payload: &[u8], start: usize, width: usize) -> Option<()> {
-    let tail = payload.get(start..)?;
-    match tail.first_chunk::<WORD>() {
-        // A narrow row with a whole word readable at its start: the value's
-        // length is the word's count of bytes up to its last non-pad one.
-        Some(word) if width <= WORD => {
-            let row = u128::MAX.checked_shr(128 - 8 * width as u32).unwrap_or(0);
-            let kept = (u128::from_le_bytes(*word) ^ u128::from_le_bytes([PAD; WORD])) & row;
-            append_short(out, word, WORD - kept.leading_zeros() as usize / 8);
-        }
-        _ => out.extend_from_slice(trim_pad(tail.get(..width)?)),
-    }
-    Some(())
-}
-
-/// Constant bytes of a template or a runtime pattern.
-pub(crate) enum Text<'c> {
-    /// Up to a word of bytes, held as one for [`append_short`].
-    Short([u8; WORD], usize),
-    Long(&'c [u8]),
-}
-
-impl<'c> Text<'c> {
-    fn new(bytes: &'c [u8]) -> Self {
-        let mut word = [0u8; WORD];
-        match word.get_mut(..bytes.len()) {
-            Some(head) => {
-                head.copy_from_slice(bytes);
-                Text::Short(word, bytes.len())
-            }
-            None => Text::Long(bytes),
-        }
-    }
-
-    fn append(&self, out: &mut Vec<u8>) {
-        match self {
-            Text::Short(word, len) => append_short(out, word, *len),
-            Text::Long(bytes) => out.extend_from_slice(bytes),
-        }
-    }
 }
 
 /// The row addressing of one loaded Capsule.
@@ -146,33 +90,24 @@ impl<'c> Column<'c> {
 
     /// Appends the unpadded value of `row` to `out`.
     fn append(&mut self, row: u32, out: &mut Vec<u8>) -> Result<()> {
-        match self.rows {
-            Some(Rows::Padded { payload, width }) => (row as usize)
-                .checked_mul(width)
-                .and_then(|start| append_padded(out, payload, start, width))
-                .ok_or_else(|| corrupt("capsule row out of range")),
-            _ => {
-                out.extend_from_slice(self.value(row)?);
-                Ok(())
-            }
-        }
+        out.extend_from_slice(self.value(row)?);
+        Ok(())
     }
 }
 
 /// One piece of a real vector's runtime pattern.
 pub(crate) enum Part<'c> {
-    Const(Text<'c>),
+    Const(&'c [u8]),
     Sub(Column<'c>),
 }
 
 /// The values of a nominal vector's dictionary, by dictionary index.
 pub(crate) enum Dict<'c> {
     /// A raw dictionary Capsule: one padded region per merged pattern,
-    /// located through the region table computed once here (§5.2).
+    /// located through the vector's region table (§5.2).
     Regions {
         payloads: &'c Payloads<'c>,
         id: u32,
-        regions: Vec<DictRegion>,
         payload: Option<&'c [u8]>,
     },
     /// A row-addressed dictionary Capsule ("w/o fixed").
@@ -180,34 +115,34 @@ pub(crate) enum Dict<'c> {
 }
 
 impl<'c> Dict<'c> {
-    pub(crate) fn new(
-        payloads: &'c Payloads<'c>,
-        patterns: &[DictPattern],
-        id: u32,
-    ) -> Result<Self> {
+    pub(crate) fn new(payloads: &'c Payloads<'c>, id: u32) -> Result<Self> {
         Ok(match payloads.meta(id)?.layout {
             Layout::Raw => Dict::Regions {
                 payloads,
                 id,
-                regions: VectorMeta::dict_regions(patterns)?,
                 payload: None,
             },
             _ => Dict::Rows(Column::new(payloads, id)),
         })
     }
 
-    /// Appends the value with dictionary index `idx` to `out`.
-    pub(crate) fn append(&mut self, idx: u32, out: &mut Vec<u8>) -> Result<()> {
-        let (regions, payload) = match self {
+    /// Appends the value with dictionary index `idx` to `out`; `regions` is
+    /// the vector's [`VectorMeta::dict_regions`] table.
+    pub(crate) fn append(
+        &mut self,
+        regions: &[DictRegion],
+        idx: u32,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let payload = match self {
             Dict::Rows(column) => return column.append(idx, out),
             Dict::Regions {
                 payloads,
                 id,
-                regions,
                 payload,
             } => match *payload {
-                Some(payload) => (regions, payload),
-                None => (regions, *payload.insert(payloads.bytes(*id)?)),
+                Some(payload) => payload,
+                None => *payload.insert(payloads.bytes(*id)?),
             },
         };
         // The last region starting at or before `idx` (empty regions share
@@ -221,8 +156,11 @@ impl<'c> Dict<'c> {
         // `dict_regions` checked that every region's extent fits a usize.
         let width = region.width as usize;
         let start = region.byte_offset + (idx - region.first_index) as usize * width;
-        append_padded(out, payload, start, width)
-            .ok_or_else(|| corrupt("dict region outside payload"))
+        let value = payload
+            .get(start..start + width)
+            .ok_or_else(|| corrupt("dict region outside payload"))?;
+        out.extend_from_slice(trim_pad(value));
+        Ok(())
     }
 }
 
@@ -230,7 +168,7 @@ impl<'c> Dict<'c> {
 /// variable vector read straight from its Capsule columns.
 pub(crate) enum Op<'c> {
     /// Static text of the template.
-    Static(Text<'c>),
+    Static(&'c [u8]),
     /// A plain vector: the row's value in one Capsule.
     Plain(Column<'c>),
     /// A real vector: pattern constants interleaved with sub-variable
@@ -244,8 +182,13 @@ pub(crate) enum Op<'c> {
         /// binary search if a caller ever steps back).
         cursor: usize,
     },
-    /// A nominal vector: the row's index digits, then the dictionary value.
-    Nominal { index: Column<'c>, dict: Dict<'c> },
+    /// A nominal vector: the row's index digits, then the dictionary value
+    /// found through the region table computed once here.
+    Nominal {
+        index: Column<'c>,
+        regions: Vec<DictRegion>,
+        dict: Dict<'c>,
+    },
 }
 
 impl<'c> Op<'c> {
@@ -266,7 +209,8 @@ impl<'c> Op<'c> {
                 ..
             } => Op::Nominal {
                 index: Column::new(payloads, *index_cap),
-                dict: Dict::new(payloads, patterns, *dict_cap)?,
+                regions: VectorMeta::dict_regions(patterns)?,
+                dict: Dict::new(payloads, *dict_cap)?,
             },
         })
     }
@@ -282,7 +226,7 @@ impl<'c> Op<'c> {
         let mut parts = Vec::with_capacity(pattern.segments.len());
         for segment in &pattern.segments {
             parts.push(match segment {
-                Segment::Const(c) => Part::Const(Text::new(c)),
+                Segment::Const(c) => Part::Const(c),
                 Segment::Var(v) => {
                     let cap = sub_caps
                         .get(*v)
@@ -302,7 +246,7 @@ impl<'c> Op<'c> {
     /// Appends this op's bytes for vector row `row` to `out`.
     pub(crate) fn append(&mut self, row: u32, out: &mut Vec<u8>) -> Result<()> {
         match self {
-            Op::Static(text) => text.append(out),
+            Op::Static(text) => out.extend_from_slice(text),
             Op::Plain(column) => column.append(row, out)?,
             Op::Real {
                 parts,
@@ -323,16 +267,20 @@ impl<'c> Op<'c> {
                     let pattern_row = row - *cursor as u32;
                     for part in parts {
                         match part {
-                            Part::Const(text) => text.append(out),
+                            Part::Const(text) => out.extend_from_slice(text),
                             Part::Sub(column) => column.append(pattern_row, out)?,
                         }
                     }
                 }
             }
-            Op::Nominal { index, dict } => {
+            Op::Nominal {
+                index,
+                regions,
+                dict,
+            } => {
                 let idx =
                     parse_index(index.value(row)?).ok_or_else(|| corrupt("bad index value"))?;
-                dict.append(idx, out)?;
+                dict.append(regions, idx, out)?;
             }
         }
         Ok(())
@@ -349,7 +297,7 @@ pub(crate) fn group_ops<'c>(
     let mut ops = Vec::with_capacity(group.template.pieces().len());
     for piece in group.template.pieces() {
         ops.push(match piece {
-            Piece::Static(text) => Op::Static(Text::new(text)),
+            Piece::Static(text) => Op::Static(text),
             Piece::Slot(slot) => {
                 let vector = group.vectors.get(*slot);
                 Op::for_vector(
