@@ -2,7 +2,7 @@
 //! speed-vs-ratio ordering the evaluation depends on, plus the per-capsule-
 //! class ratio-vs-speed table the engine's codec cost model is derived from.
 
-use codec::{Cm1, Codec, Deflate, FastLz, LzmaLite};
+use codec::{Codec, Deflate, FastLz, LzmaLite};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Instant;
 
@@ -116,7 +116,6 @@ fn codecs() -> Vec<Box<dyn Codec>> {
         Box::new(FastLz::default()),
         Box::new(Deflate::default()),
         Box::new(LzmaLite::default()),
-        Box::new(Cm1),
     ]
 }
 

@@ -11,7 +11,6 @@
 
 pub mod cost;
 pub mod experiments;
-pub mod regression;
 pub mod runner;
 pub mod table;
 

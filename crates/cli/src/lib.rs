@@ -12,9 +12,8 @@
 //! * `stat <archive.lgb>` (alias `stats`) — print archive statistics;
 //! * `gen <log-name> <bytes> [seed]` — emit a synthetic workload log;
 //! * `trace <archive.lgb> <command>` — run a query with the trace journal
-//!   (and optionally the sampling profiler) on, emitting a Chrome
-//!   trace-event file for Perfetto / `chrome://tracing` and/or
-//!   flamegraph-collapsed stacks;
+//!   on, emitting a Chrome trace-event file for Perfetto /
+//!   `chrome://tracing` and/or flamegraph-collapsed stacks;
 //! * `serve-metrics <addr>` — serve `/metrics` (Prometheus text),
 //!   `/healthz`, and `/trace/last.json` over plain HTTP;
 //! * `cluster <log-name> <bytes> <command> [seed]` — fault-tolerance demo:
@@ -192,7 +191,7 @@ pub fn usage() -> String {
      \x20                                             (alias: stats)\n\
      \x20 loggrep explain <archive.lgb> <command>     show the query plan\n\
      \x20 loggrep gen <log-name> <bytes> [seed]       print a synthetic log\n\
-     \x20 loggrep trace <archive.lgb> <command> [--out FILE] [--collapsed FILE] [--sample HZ]\n\
+     \x20 loggrep trace <archive.lgb> <command> [--out FILE] [--collapsed FILE]\n\
      \x20                                             run a query with the trace journal on;\n\
      \x20                                             emit Chrome trace-event JSON (Perfetto /\n\
      \x20                                             chrome://tracing) and collapsed stacks\n\
@@ -442,18 +441,15 @@ fn query_agg_file(
     Ok(())
 }
 
-/// `trace <archive.lgb> <command> [--out FILE] [--collapsed FILE]
-/// [--sample HZ]`: runs the query with the trace journal on and writes the
-/// Chrome trace-event JSON to `--out` (stdout when omitted). `--collapsed`
-/// additionally writes flamegraph-collapsed stacks — from the sampling
-/// profiler when `--sample HZ` is given, from exact journal timings
-/// otherwise.
+/// `trace <archive.lgb> <command> [--out FILE] [--collapsed FILE]`: runs
+/// the query with the trace journal on and writes the Chrome trace-event
+/// JSON to `--out` (stdout when omitted). `--collapsed` additionally writes
+/// flamegraph-collapsed stacks built from the journal's exact timings.
 fn trace_cmd(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "trace <archive.lgb> <command> [--out FILE] [--collapsed FILE] [--sample HZ]";
+    const USAGE: &str = "trace <archive.lgb> <command> [--out FILE] [--collapsed FILE]";
     let mut positional: Vec<&str> = Vec::new();
     let mut out_file: Option<&str> = None;
     let mut collapsed_file: Option<&str> = None;
-    let mut sample_hz: Option<u32> = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
@@ -462,10 +458,6 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
             }
             "--collapsed" => {
                 collapsed_file = Some(iter.next().ok_or("--collapsed needs a file argument")?);
-            }
-            "--sample" => {
-                let hz = iter.next().ok_or("--sample needs a rate in Hz")?;
-                sample_hz = Some(hz.parse().map_err(|_| format!("bad sample rate `{hz}`"))?);
             }
             other => positional.push(other),
         }
@@ -479,14 +471,12 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
     telemetry::set_journal_enabled(true);
     telemetry::clear_journal();
     let archives = open_file(archive_path)?;
-    let sampler = sample_hz.map(telemetry::Sampler::start);
     let mut total = 0usize;
     for archive in &archives {
         total = total.saturating_add(
             archive.query(command).map_err(|e| e.to_string())?.lines.len(),
         );
     }
-    let report = sampler.map(telemetry::Sampler::stop);
 
     let events = telemetry::journal_events();
     let chrome = telemetry::export_chrome_trace(&events);
@@ -498,20 +488,9 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
         None => print!("{chrome}"),
     }
     if let Some(path) = collapsed_file {
-        let stacks = match &report {
-            Some(r) => r.collapsed(),
-            None => telemetry::export_collapsed(&events),
-        };
-        std::fs::write(path, stacks).map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(path, telemetry::export_collapsed(&events))
+            .map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("collapsed stacks -> {path}");
-    }
-    if let Some(r) = &report {
-        eprintln!(
-            "sampler: {} sample(s) over {} tick(s) in {:.1} ms",
-            r.total_samples,
-            r.ticks,
-            r.elapsed.as_secs_f64() * 1e3,
-        );
     }
     eprintln!("({total} matching line(s))");
     Ok(())

@@ -1,5 +1,7 @@
 //! `--trace-out` end-to-end: a traced query must produce a valid Chrome
 //! trace-event JSON file (the format Perfetto / `chrome://tracing` loads).
+//! The `trace` subcommand's `--collapsed` stacks are the journal's exact
+//! timings, and it takes no profiler flag.
 //!
 //! One test function: the telemetry registry and trace journal are
 //! process-global, and this integration binary owns its process.
@@ -88,6 +90,58 @@ fn trace_out_produces_valid_chrome_trace() {
         assert!(stack.is_empty(), "unbalanced spans on tid {tid}: {stack:?}");
     }
     assert!(saw_query_span, "no `query` span in trace");
+
+    // `trace --collapsed` writes the journal's own collapsed stacks: exact
+    // span totals with each path's direct children subtracted.
+    let collapsed = dir.join("s.txt");
+    assert_eq!(
+        cli::run(&to_args(&[
+            "trace",
+            archive.to_str().unwrap(),
+            spec.queries[0].as_str(),
+            "--out",
+            trace.to_str().unwrap(),
+            "--collapsed",
+            collapsed.to_str().unwrap(),
+        ])),
+        0
+    );
+    let events = telemetry::journal_events();
+    let stacks = std::fs::read_to_string(&collapsed).unwrap();
+    assert_eq!(stacks, telemetry::journal::export_collapsed(&events));
+    let (mut query_total, mut children) = (0u64, 0u64);
+    for e in events
+        .iter()
+        .filter(|e| e.kind == telemetry::EventKind::SpanEnd)
+    {
+        match e.name.strip_prefix("query") {
+            Some("") => query_total += e.value,
+            Some(rest) if rest.starts_with('/') && !rest[1..].contains('/') => children += e.value,
+            _ => {}
+        }
+    }
+    let query_self = query_total - children;
+    assert!(
+        stacks.lines().any(|l| l == format!("query {query_self}")),
+        "no exact `query` self-time line ({query_self} ns) in:\n{stacks}"
+    );
+
+    // `--sample` is gone: it is rejected like any other unknown flag, as a
+    // usage error before any work is done.
+    let untouched = dir.join("never.json");
+    for flag in ["--sample", "--no-such-flag"] {
+        let code = cli::run(&to_args(&[
+            "trace",
+            archive.to_str().unwrap(),
+            spec.queries[0].as_str(),
+            "--out",
+            untouched.to_str().unwrap(),
+            flag,
+            "97",
+        ]));
+        assert_eq!(code, 2, "`trace {flag} 97` must be a usage error");
+    }
+    assert!(!untouched.exists(), "a usage error must not run the query");
 
     std::fs::remove_dir_all(&dir).ok();
 }

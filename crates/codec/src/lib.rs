@@ -31,7 +31,6 @@
 #![deny(missing_docs)]
 
 pub mod bitio;
-pub mod cm1;
 pub mod deflate;
 pub mod fastlz;
 pub mod huffman;
@@ -42,7 +41,6 @@ pub mod varint;
 
 use std::fmt;
 
-pub use cm1::Cm1;
 pub use deflate::Deflate;
 pub use fastlz::FastLz;
 pub use lzma_lite::LzmaLite;
@@ -210,7 +208,6 @@ pub fn by_name(name: &str) -> Option<Box<dyn Codec>> {
         "deflate" | "gzip" => Some(Box::new(Deflate::default())),
         "lzma-lite" | "lzma" => Some(Box::new(LzmaLite::default())),
         "fastlz" | "zstd" => Some(Box::new(FastLz::default())),
-        "cm1" | "ppm" => Some(Box::new(Cm1)),
         _ => None,
     }
 }
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn by_name_resolves_all() {
-        for name in ["store", "deflate", "gzip", "lzma-lite", "fastlz", "zstd", "cm1", "ppm"] {
+        for name in ["store", "deflate", "gzip", "lzma-lite", "fastlz", "zstd"] {
             assert!(by_name(name).is_some(), "missing codec {name}");
         }
         assert!(by_name("bogus").is_none());
@@ -263,7 +260,7 @@ mod tests {
         // A recycled arena buffer arrives full of stale bytes; every codec
         // must clear it and produce the same output as `decompress`.
         let data: Vec<u8> = (0..997u32).map(|i| (i * 31 % 251) as u8).collect();
-        for name in ["store", "deflate", "lzma-lite", "fastlz", "cm1"] {
+        for name in ["store", "deflate", "lzma-lite", "fastlz"] {
             let c = by_name(name).unwrap();
             let packed = c.compress(&data);
             let mut buf = vec![0xAB; 4096];

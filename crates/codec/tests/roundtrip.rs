@@ -1,6 +1,6 @@
 //! Property-based round-trip tests across all codecs.
 
-use codec::{by_name, Cm1, Codec, Deflate, FastLz, LzmaLite, Store};
+use codec::{by_name, Codec, Deflate, FastLz, LzmaLite, Store};
 use proptest::prelude::*;
 
 fn codecs() -> Vec<Box<dyn Codec>> {
@@ -9,7 +9,6 @@ fn codecs() -> Vec<Box<dyn Codec>> {
         Box::new(Deflate::default()),
         Box::new(LzmaLite::default()),
         Box::new(FastLz::default()),
-        Box::new(Cm1),
     ]
 }
 

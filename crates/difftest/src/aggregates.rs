@@ -253,7 +253,7 @@ pub fn run_case(seed: u64, case: u64, threads: &[usize]) -> Outcome {
     'matrix: for (tag, config) in engine_matrix() {
         let engine = LogGrep::new(config);
         let config = engine.config();
-        let use_cache = config.use_query_cache;
+        let query_cache_on = config.use_query_cache;
         let mut merged = AggResult::empty(&spec);
         let mut offset = 0u64;
         let mut worst: Option<loggrep::AggLayer> = None;
@@ -319,11 +319,11 @@ pub fn run_case(seed: u64, case: u64, threads: &[usize]) -> Outcome {
                     break 'matrix;
                 }
             };
-            if repeat.stats.cache_hit != use_cache {
+            if repeat.stats.cache_hit != query_cache_on {
                 outcome.disagreement = fail(format!(
                     "repeat cache_hit = {} with the cache {}",
                     repeat.stats.cache_hit,
-                    if use_cache { "on" } else { "off" }
+                    if query_cache_on { "on" } else { "off" }
                 ));
                 break 'matrix;
             }

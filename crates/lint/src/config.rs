@@ -36,10 +36,6 @@ pub const DESIGNATED: &[(&str, ScopeSpec)] = &[
         "crates/codec/src/lzma_lite.rs",
         ScopeSpec::Functions(&["decompress", "decompress_into"]),
     ),
-    (
-        "crates/codec/src/cm1.rs",
-        ScopeSpec::Functions(&["decompress", "decompress_into"]),
-    ),
     ("crates/codec/src/huffman.rs", ScopeSpec::Functions(&["from_lengths", "decode", "decode_long"])),
     (
         "crates/codec/src/bitio.rs",

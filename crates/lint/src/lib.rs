@@ -18,10 +18,9 @@
 //! * [`hygiene`] — swallowed `Result`s, telemetry span balance, stale
 //!   `lint:allow` hatches.
 //!
-//! Per-file results are cached by content hash ([`cache`]) so warm runs
-//! re-analyze only changed files; the global passes (cycle detection,
-//! suppression, stale-allow) are recomputed every run from cached data.
-//! Output formats: human text, `--json`, and SARIF 2.1.0 ([`sarif`]).
+//! Every run is cold (~100 ms over the workspace): the per-file passes
+//! run first, then the global ones (cycle detection, suppression,
+//! stale-allow). Output formats: human text and `--json`.
 //!
 //! Run it as `cargo run -p lint` (see `--help` for flags);
 //! `scripts/ci.sh` enforces a zero-diagnostics gate before tests.
@@ -29,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod config;
 pub mod dataflow;
 pub mod hygiene;
@@ -37,7 +35,6 @@ pub mod lexer;
 pub mod lockorder;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -56,16 +53,12 @@ use rules::Diagnostic;
 pub struct FileAnalysis {
     /// Workspace-relative path (forward slashes).
     pub file: String,
-    /// FNV-1a content hash (hex) keying the incremental cache.
-    pub hash: String,
     /// Raw per-file diagnostics, before suppression.
     pub raw: Vec<Diagnostic>,
     /// `lint:allow` comments found in the file.
     pub allows: Vec<Allow>,
     /// Per-function lock summaries for the global lock-order pass.
     pub locks: Vec<FnLockSummary>,
-    /// Whether this analysis was served from the cache.
-    pub from_cache: bool,
 }
 
 /// Counters for one analyzer run.
@@ -73,78 +66,32 @@ pub struct FileAnalysis {
 pub struct RunStats {
     /// Total `.rs` files considered.
     pub files: usize,
-    /// Files served from the incremental cache.
-    pub cache_hits: usize,
     /// Wall time of the run in milliseconds.
     pub wall_ms: u64,
 }
 
-impl RunStats {
-    /// Cache hits as a fraction of files (0.0 on an empty workspace).
-    pub fn hit_rate(&self) -> f64 {
-        if self.files == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.files as f64
-        }
-    }
-}
-
-/// Analyzer options.
-#[derive(Debug, Clone)]
-pub struct Options {
-    /// Workspace root (must contain `Cargo.toml`).
-    pub root: PathBuf,
-    /// Read/write `target/lint-cache.json` for incremental runs.
-    pub use_cache: bool,
-}
-
-/// Runs the full analyzer: walk, per-file passes (cached), global
-/// passes, suppression. Diagnostics come back sorted by file and line.
-pub fn run(opts: &Options) -> std::io::Result<(Vec<Diagnostic>, RunStats)> {
+/// Runs the full analyzer over the workspace at `root` (which must
+/// contain `Cargo.toml`): walk, per-file passes, global passes,
+/// suppression. Diagnostics come back sorted by file and line.
+pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, RunStats)> {
     let started = Instant::now();
-    let files = workspace_files(&opts.root)?;
-    let cached = if opts.use_cache {
-        cache::load(&opts.root)
-    } else {
-        HashMap::new()
-    };
-
-    let mut analyses = Vec::with_capacity(files.len());
-    let mut stats = RunStats::default();
-    for file in files {
+    let mut analyses = Vec::new();
+    for file in workspace_files(root)? {
         let Ok(src) = fs::read_to_string(&file) else {
             continue;
         };
-        stats.files += 1;
-        let rel = relative(&opts.root, &file);
-        let hash = cache::fnv1a_hex(&src);
-        if let Some(hit) = cached.get(&rel).filter(|c| c.hash == hash) {
-            stats.cache_hits += 1;
-            analyses.push(hit.clone());
-        } else {
-            analyses.push(analyze_file(&rel, &src, hash));
-        }
-    }
-    if opts.use_cache {
-        cache::store(&opts.root, &analyses).ok(); // a lost cache only costs a cold run
+        analyses.push(analyze_file(&relative(root, &file), &src));
     }
     let diags = finalize(&analyses);
-    stats.wall_ms = started.elapsed().as_millis() as u64;
+    let stats = RunStats {
+        files: analyses.len(),
+        wall_ms: started.elapsed().as_millis() as u64,
+    };
     Ok((diags, stats))
 }
 
-/// Compatibility entry point: a cold, cache-less run.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    run(&Options {
-        root: root.to_path_buf(),
-        use_cache: false,
-    })
-    .map(|(diags, _)| diags)
-}
-
 /// Runs every per-file pass over one source file.
-pub fn analyze_file(rel: &str, src: &str, hash: String) -> FileAnalysis {
+pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
     let lexed = lexer::lex(src);
     let toks = &lexed.tokens;
     let mut raw = Vec::new();
@@ -160,11 +107,9 @@ pub fn analyze_file(rel: &str, src: &str, hash: String) -> FileAnalysis {
     }
     FileAnalysis {
         file: rel.to_string(),
-        hash,
         raw,
         allows: lexed.allows,
         locks: lockinfo.fns,
-        from_cache: false,
     }
 }
 
@@ -244,7 +189,7 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
     out
 }
 
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -316,24 +261,13 @@ fn crate_root_kind(rel: &str) -> Option<bool> {
     }
 }
 
-/// Unique per-test scratch directory (tests clean up after themselves).
-#[cfg(test)]
-pub(crate) fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lint-test-{}-{name}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create test dir");
-    dir
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rules::{
-        RULE_ALLOW_REASON, RULE_LOCK_CYCLE, RULE_PANIC, RULE_PREALLOC, RULE_STALE_ALLOW,
-        RULE_SWALLOWED,
-    };
+    use rules::{RULE_ALLOW_REASON, RULE_LOCK_CYCLE, RULE_PANIC, RULE_PREALLOC, RULE_STALE_ALLOW};
 
     fn one_file(src: &str) -> Vec<Diagnostic> {
-        let a = analyze_file("crates/loggrep/src/wire.rs", src, cache::fnv1a_hex(src));
+        let a = analyze_file("crates/loggrep/src/wire.rs", src);
         finalize(&[a])
     }
 
@@ -393,92 +327,15 @@ mod tests {
         let a = analyze_file(
             "crates/pool/src/a.rs",
             "impl Queue { fn push(&self) { let g = self.items.lock(); let h = self.stats.lock(); } }",
-            "h1".to_string(),
         );
         let b = analyze_file(
             "crates/pool/src/b.rs",
             "impl Queue { fn report(&self) { let h = self.stats.lock(); let g = self.items.lock(); } }",
-            "h2".to_string(),
         );
         let d = finalize(&[a, b]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, RULE_LOCK_CYCLE);
         assert!(d[0].message.contains("Queue.items"), "{}", d[0].message);
         assert!(d[0].message.contains("Queue.stats"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn warm_run_reanalyzes_only_changed_files() {
-        let root = test_dir("warm_run");
-        let src_dir = root.join("crates/one/src");
-        fs::create_dir_all(&src_dir).unwrap();
-        fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
-        fs::write(
-            src_dir.join("lib.rs"),
-            "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n//! One.\npub fn one() {}\n",
-        )
-        .unwrap();
-        fs::write(src_dir.join("other.rs"), "pub fn two() {}\n").unwrap();
-
-        let opts = Options {
-            root: root.clone(),
-            use_cache: true,
-        };
-        let (d1, s1) = run(&opts).unwrap();
-        assert!(d1.is_empty(), "{d1:?}");
-        assert_eq!(s1.files, 2);
-        assert_eq!(s1.cache_hits, 0);
-
-        // Untouched workspace: everything served from cache.
-        let (_, s2) = run(&opts).unwrap();
-        assert_eq!(s2.cache_hits, 2);
-        assert!((s2.hit_rate() - 1.0).abs() < 1e-9);
-
-        // Touch one file: exactly one re-analysis, and the new
-        // diagnostic in the changed file is reported.
-        fs::write(
-            src_dir.join("other.rs"),
-            "pub fn two(&self) { let _ = self.net.rpc(p, m); }\n",
-        )
-        .unwrap();
-        let (d3, s3) = run(&opts).unwrap();
-        assert_eq!(s3.cache_hits, 1);
-        assert_eq!(d3.len(), 1, "{d3:?}");
-        assert_eq!(d3[0].rule, RULE_SWALLOWED);
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn cached_lock_summaries_still_feed_the_global_pass() {
-        // One file of a cross-file cycle comes from the cache, the other
-        // is fresh: the cycle must still be detected.
-        let root = test_dir("warm_cycle");
-        let src_dir = root.join("crates/one/src");
-        fs::create_dir_all(&src_dir).unwrap();
-        fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
-        fs::write(
-            src_dir.join("a.rs"),
-            "impl Q { fn push(&self) { let g = self.items.lock(); let h = self.stats.lock(); } }\n",
-        )
-        .unwrap();
-        fs::write(src_dir.join("b.rs"), "pub fn free() {}\n").unwrap();
-        let opts = Options {
-            root: root.clone(),
-            use_cache: true,
-        };
-        let (d1, _) = run(&opts).unwrap();
-        assert!(d1.is_empty(), "{d1:?}");
-
-        // Introduce the reverse order in b.rs only; a.rs is warm.
-        fs::write(
-            src_dir.join("b.rs"),
-            "impl Q { fn report(&self) { let h = self.stats.lock(); let g = self.items.lock(); } }\n",
-        )
-        .unwrap();
-        let (d2, s2) = run(&opts).unwrap();
-        assert_eq!(s2.cache_hits, 1);
-        assert_eq!(d2.len(), 1, "{d2:?}");
-        assert_eq!(d2[0].rule, RULE_LOCK_CYCLE);
-        fs::remove_dir_all(&root).ok();
     }
 }

@@ -1,5 +1,5 @@
 //! CLI driver:
-//! `cargo run -p lint [--json|--sarif] [--no-cache] [--bench-out FILE] [--max-ms N] [root]`.
+//! `cargo run -p lint [--json] [--bench-out FILE] [--max-ms N] [root]`.
 //!
 //! Exits 0 when the workspace is clean, 1 when any diagnostic fires,
 //! and 2 on usage or I/O errors (including a blown `--max-ms` budget).
@@ -9,25 +9,16 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 fn main() -> ExitCode {
-    let mut format = Format::Text;
+    let mut json = false;
     let mut root = PathBuf::from(".");
-    let mut use_cache = true;
     let mut bench_out: Option<PathBuf> = None;
     let mut max_ms: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => format = Format::Json,
-            "--sarif" => format = Format::Sarif,
-            "--no-cache" => use_cache = false,
+            "--json" => json = true,
             "--bench-out" => {
                 let Some(path) = args.next() else {
                     eprintln!("lint: --bench-out needs a file path");
@@ -43,9 +34,7 @@ fn main() -> ExitCode {
                 max_ms = Some(n);
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: lint [--json|--sarif] [--no-cache] [--bench-out FILE] [--max-ms N] [workspace-root]"
-                );
+                println!("usage: lint [--json] [--bench-out FILE] [--max-ms N] [workspace-root]");
                 println!("rules: {}", lint::rules::ALL_RULES.join(", "));
                 return ExitCode::SUCCESS;
             }
@@ -60,8 +49,7 @@ fn main() -> ExitCode {
         eprintln!("lint: {} is not a workspace root (no Cargo.toml)", root.display());
         return ExitCode::from(2);
     }
-    let opts = lint::Options { root, use_cache };
-    let (diags, stats) = match lint::run(&opts) {
+    let (diags, stats) = match lint::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: {e}");
@@ -69,31 +57,24 @@ fn main() -> ExitCode {
         }
     };
 
-    match format {
-        Format::Json => println!("{}", lint::to_json(&diags)),
-        Format::Sarif => println!("{}", lint::sarif::to_sarif(&diags)),
-        Format::Text => {
-            for d in &diags {
-                println!("{d}");
-            }
-            if diags.is_empty() {
-                println!(
-                    "lint: clean ({} files, {} cached, {} ms)",
-                    stats.files, stats.cache_hits, stats.wall_ms
-                );
-            } else {
-                println!("lint: {} diagnostic(s)", diags.len());
-            }
+    if json {
+        println!("{}", lint::to_json(&diags));
+    } else {
+        for d in &diags {
+            println!("{d}");
+        }
+        if diags.is_empty() {
+            println!("lint: clean ({} files, {} ms)", stats.files, stats.wall_ms);
+        } else {
+            println!("lint: {} diagnostic(s)", diags.len());
         }
     }
 
     if let Some(path) = bench_out {
         let bench = format!(
-            "{{\n  \"bench\": \"lint\",\n  \"wall_ms\": {},\n  \"files\": {},\n  \"cache_hits\": {},\n  \"cache_hit_rate\": {:.4},\n  \"diagnostics\": {}\n}}\n",
+            "{{\n  \"bench\": \"lint\",\n  \"wall_ms\": {},\n  \"files\": {},\n  \"diagnostics\": {}\n}}\n",
             stats.wall_ms,
             stats.files,
-            stats.cache_hits,
-            stats.hit_rate(),
             diags.len()
         );
         if let Err(e) = std::fs::write(&path, bench) {

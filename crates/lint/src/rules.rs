@@ -7,7 +7,7 @@
 //! here and register their rule names in [`ALL_RULES`]. Every rule can
 //! be suppressed per line with a `// lint:allow(<rule>) — <reason>`
 //! comment on the same line or the line immediately above; suppression
-//! is applied centrally in [`crate::lint_workspace`] so the raw
+//! is applied centrally in [`crate::finalize`] so the raw
 //! (pre-suppression) diagnostics can feed the stale-allow pass.
 
 use crate::lexer::{TokKind, Token};
@@ -38,8 +38,7 @@ pub const RULE_SPAN_BALANCE: &str = "span-balance";
 /// A `lint:allow` that no longer suppresses anything.
 pub const RULE_STALE_ALLOW: &str = "stale-allow";
 
-/// Every rule the analyzer knows, for `--help` listings, SARIF rule
-/// metadata, and mapping cached rule names back to `&'static str`.
+/// Every rule the analyzer knows, for the `--help` listing.
 pub const ALL_RULES: &[&str] = &[
     RULE_PANIC,
     RULE_PREALLOC,
@@ -54,12 +53,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_SPAN_BALANCE,
     RULE_STALE_ALLOW,
 ];
-
-/// Maps a rule name back to its static registry entry (used when
-/// deserializing cached diagnostics).
-pub fn rule_by_name(name: &str) -> Option<&'static str> {
-    ALL_RULES.iter().find(|r| **r == name).copied()
-}
 
 /// One finding, pointing at a source line.
 #[derive(Debug, Clone)]
@@ -265,14 +258,6 @@ mod tests {
         let d = check_panic("t.rs", &l.tokens, ScopeSpec::Functions(&["decode"]));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn rule_registry_round_trips() {
-        for r in ALL_RULES {
-            assert_eq!(rule_by_name(r), Some(*r));
-        }
-        assert_eq!(rule_by_name("no-such-rule"), None);
     }
 
     #[test]

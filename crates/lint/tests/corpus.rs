@@ -8,7 +8,6 @@
 //! silent). Fixtures live outside `src/`, so the in-tree gate never
 //! sees them.
 
-use lint::cache::fnv1a_hex;
 use lint::rules::RULE_LOCK_CYCLE;
 use lint::{analyze_file, finalize, FileAnalysis};
 use std::fs;
@@ -35,7 +34,7 @@ fn expected(src: &str) -> Vec<(u32, String)> {
 
 fn analyze(name: &str, rel: &str) -> (String, FileAnalysis) {
     let src = fixture(name);
-    let a = analyze_file(rel, &src, fnv1a_hex(&src));
+    let a = analyze_file(rel, &src);
     (src, a)
 }
 

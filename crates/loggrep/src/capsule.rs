@@ -95,7 +95,6 @@ pub fn codec_by_id(id: u8) -> Result<Box<dyn codec::Codec>> {
         1 => "deflate",
         2 => "lzma-lite",
         3 => "fastlz",
-        4 => "cm1",
         _ => return Err(Error::Corrupt(format!("unknown codec id {id}"))),
     };
     codec::by_name(name).ok_or_else(|| Error::Corrupt(format!("codec {name} unavailable")))
@@ -108,7 +107,6 @@ pub fn codec_id_by_name(name: &str) -> Result<u8> {
         "deflate" | "gzip" => Ok(1),
         "lzma-lite" | "lzma" => Ok(2),
         "fastlz" | "zstd" => Ok(3),
-        "cm1" | "ppm" => Ok(4),
         _ => Err(Error::Corrupt(format!("unknown codec name {name}"))),
     }
 }

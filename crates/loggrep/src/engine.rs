@@ -153,7 +153,9 @@ const PROBE_LEN: usize = 4096;
 /// shared state — so the choice (and therefore the archive) is identical
 /// no matter which worker thread encodes the capsule.
 ///
-/// Thresholds come from the capsule-class ratio-vs-speed table emitted by
+/// `suite`'s `codec.<name>.*` layer metrics report what the picks cost and
+/// bought on each workload. Thresholds come from the capsule-class
+/// ratio-vs-speed table emitted by
 /// `crates/bench/benches/micro_codecs.rs` (Log C, 4 MiB, this container):
 ///
 /// * LzmaLite compresses at 2–12 MB/s vs Deflate's 25–37 MB/s, and its
@@ -244,11 +246,19 @@ impl LogGrep {
     /// Returns [`Error::UnsupportedByte`] if the input contains NUL (the
     /// reserved pad byte), or a codec error on internal failure.
     pub fn compress(&self, raw: &[u8]) -> Result<CapsuleBox> {
-        self.compress_with_stats(raw).map(|(b, _)| b)
+        self.compress_block(raw).map(|(b, _)| b)
     }
 
-    /// Compresses and reports statistics.
+    /// Compresses and reports statistics. Measuring `compressed_size`
+    /// serialises the box once, which [`LogGrep::compress`] does not pay.
     pub fn compress_with_stats(&self, raw: &[u8]) -> Result<(CapsuleBox, ArchiveStats)> {
+        let (boxed, mut stats) = self.compress_block(raw)?;
+        stats.compressed_size = boxed.compressed_size() as u64;
+        Ok((boxed, stats))
+    }
+
+    /// The write pipeline; leaves `compressed_size` unset.
+    fn compress_block(&self, raw: &[u8]) -> Result<(CapsuleBox, ArchiveStats)> {
         if let Some(offset) = raw.iter().position(|&b| b == crate::PAD) {
             return Err(Error::UnsupportedByte { offset });
         }
@@ -342,7 +352,6 @@ impl LogGrep {
             raw_size: raw.len() as u64,
             fixed_length: self.config.fixed_length,
         };
-        stats.compressed_size = boxed.compressed_size() as u64;
         stats.elapsed = start.elapsed();
         Ok((boxed, stats))
     }

@@ -189,10 +189,9 @@ fn stamps_reduce_decompression_work() {
 
 #[test]
 fn alternate_packer_codecs_work_end_to_end() {
-    // The Packer's second-stage codec is configurable (§3 uses LZMA; the
-    // offline tier would pick the PPM-class codec).
+    // The Packer's second-stage codec is configurable (§3 uses LZMA).
     let raw = sample_log(300);
-    for codec_name in ["deflate", "fastlz", "cm1", "store"] {
+    for codec_name in ["deflate", "fastlz", "store"] {
         let config = LogGrepConfig {
             codec_name: codec_name.to_string(),
             ..LogGrepConfig::default()

@@ -9,9 +9,12 @@
 //! 2. **Current format version only.** `CapsuleBox::from_bytes` reads
 //!    version 3 and nothing else; a body stamped with an older version is
 //!    rejected by name, not misparsed.
+//! 3. **Codec ids 0–3 only.** Id 4 named a codec that has been deleted; a
+//!    capsule table that names it is a typed error at open, like any other
+//!    unknown id.
 
 use loggrep::wire::crc32;
-use loggrep::{CapsuleBox, LogGrep, LogGrepConfig};
+use loggrep::{CapsuleBox, Error, LogGrep, LogGrepConfig};
 
 const SEED: u64 = 13;
 const BYTES: usize = 48 * 1024;
@@ -107,4 +110,15 @@ fn other_format_versions_are_rejected() {
         err.to_string().contains("unsupported version 2"),
         "rejected for the wrong reason: {err}"
     );
+}
+
+#[test]
+fn retired_codec_id_is_rejected() {
+    let mut boxed = CapsuleBox::from_bytes(&archive_bytes("Log A")).expect("pinned archive opens");
+    boxed.capsules[0].codec = 4;
+    // `to_bytes` recomputes the trailer, so only the codec id is wrong.
+    match CapsuleBox::from_bytes(&boxed.to_bytes()) {
+        Err(Error::Corrupt(reason)) => assert_eq!(reason, "unknown codec id 4"),
+        other => panic!("codec id 4 must be Error::Corrupt, got {other:?}"),
+    }
 }

@@ -2,8 +2,8 @@
 //!
 //! The workspace has no serialization dependency, but several consumers
 //! need to *read* JSON this repo itself writes: the Chrome-trace schema
-//! test, the `/trace/last.json` endpoint test, and the perf-regression
-//! checker that replays `BENCH_hotpath.json` trajectories. This module is
+//! test, the `/trace/last.json` endpoint test, and the `suite` benchmark
+//! (its child-process reports and `BENCHMARK.json`). This module is
 //! that one shared reader — strict enough to validate our own exporters,
 //! small enough to audit.
 //!

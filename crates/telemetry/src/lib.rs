@@ -27,7 +27,6 @@
 //! * **Deep observability is layered on top.** The [`journal`] records
 //!   span begin/end edges and counter deltas into per-thread ring buffers
 //!   (exportable as Chrome trace-event JSON or collapsed stacks), the
-//!   [`sampler`] profiles live span stacks at a configurable rate, the
 //!   [`prometheus`] module renders snapshots in text exposition format,
 //!   and [`http::MetricsServer`] serves `/metrics`, `/healthz`, and
 //!   `/trace/last.json` over a std-only TCP listener.
@@ -57,7 +56,6 @@ pub mod json;
 mod metrics;
 pub mod prometheus;
 mod registry;
-pub mod sampler;
 mod span;
 
 pub use export::{export_json, export_text, export_trace_text};
@@ -70,7 +68,6 @@ pub use journal::{
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use prometheus::render as export_prometheus;
 pub use registry::{counter, gauge, histogram, reset, snapshot, Snapshot};
-pub use sampler::{sample_now, Sampler, SamplerReport};
 pub use span::{context, span, span_path, Context, Span};
 
 use std::sync::atomic::{AtomicBool, Ordering};

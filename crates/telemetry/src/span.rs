@@ -53,9 +53,6 @@ pub fn span(name: &str) -> Span {
         stack.push(path.clone());
         path
     });
-    // Make the span visible to the cross-thread observers: the sampling
-    // profiler (published stack) and the trace journal (begin edge).
-    crate::sampler::publish_push(&path);
     crate::journal::record_span_begin(&path);
     Span {
         armed: Some(ArmedSpan {
@@ -93,9 +90,6 @@ pub fn context(path: &str) -> Context {
         return Context { armed: None };
     }
     SPAN_STACK.with(|stack| stack.borrow_mut().push(path.to_string()));
-    // Contexts shape sampler attribution too: a worker inside
-    // `context("compress")` samples as `compress/...`.
-    crate::sampler::publish_push(path);
     Context {
         armed: Some(path.to_string()),
     }
@@ -106,7 +100,6 @@ impl Drop for Context {
         let Some(path) = self.armed.take() else {
             return;
         };
-        crate::sampler::publish_pop(&path);
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             if let Some(pos) = stack.iter().rposition(|p| *p == path) {
@@ -124,7 +117,6 @@ impl Drop for Span {
         let ns = armed.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         crate::histogram(&armed.path).record(ns);
         crate::journal::record_span_end(&armed.path, ns);
-        crate::sampler::publish_pop(&armed.path);
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // Pop our own frame; tolerate out-of-order drops (e.g. a span
