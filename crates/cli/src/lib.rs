@@ -39,7 +39,7 @@
 #![deny(missing_docs)]
 
 use loggrep::{AggResult, AggSpec, Archive, CapsuleBox, LogGrep, LogGrepConfig, PlanDrift};
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Multi-block container magic (a `.lgb` file is a sequence of
 /// length-prefixed CapsuleBoxes).
@@ -264,12 +264,12 @@ fn split_agg_flag(args: &[String]) -> Result<(Vec<&str>, Option<&str>), String> 
 /// Compresses `input` into a multi-block `.lgb` archive, one CapsuleBox per
 /// 64 MiB of raw log, blocks compressed in parallel on the worker pool.
 ///
-/// A failed block aborts the whole run with that block's error — nothing is
-/// written to `output` (previously a failure became an empty block and a
-/// corrupt archive).
+/// A failed block aborts the whole run with that block's error, and the
+/// archive reaches `output` by [`write_atomic`]: whatever `output` held
+/// before is either fully replaced or untouched.
 pub fn compress_file(input: &str, output: &str) -> Result<(), String> {
     let raw = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
-    let blocks = split_blocks(&raw);
+    let blocks = file_blocks(&raw);
 
     // One pool level is enough: with several blocks, parallelize across
     // blocks and keep each engine serial; a single block instead keeps the
@@ -290,7 +290,7 @@ pub fn compress_file(input: &str, output: &str) -> Result<(), String> {
         out.extend_from_slice(&(b.len() as u64).to_le_bytes());
         out.extend_from_slice(b);
     }
-    std::fs::write(output, &out).map_err(|e| format!("write {output}: {e}"))?;
+    write_atomic(output, &out).map_err(|e| format!("write {output}: {e}"))?;
     println!(
         "compressed {} -> {} ({:.2}x, {} block(s))",
         human(raw.len()),
@@ -301,21 +301,33 @@ pub fn compress_file(input: &str, output: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Splits raw logs into ~[`BLOCK_SIZE`] blocks on line boundaries.
-fn split_blocks(raw: &[u8]) -> Vec<&[u8]> {
-    let mut blocks = Vec::new();
-    let mut start = 0usize;
-    while start < raw.len() {
-        let mut end = start.saturating_add(BLOCK_SIZE).min(raw.len());
-        if end < raw.len() {
-            // Extend to the next newline so lines never straddle blocks.
-            while end < raw.len() && raw.get(end - 1) != Some(&b'\n') {
-                end += 1;
-            }
-        }
-        blocks.push(raw.get(start..end).unwrap_or_default());
-        start = end;
+/// Writes `bytes` to `path` all or nothing: to `<path>.tmp`, synced, then
+/// renamed over `path`, so neither a failure nor a crash leaves a
+/// half-written archive under the final name.
+fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
     }
+    // The rename is durable once the directory entry is.
+    let dir = std::path::Path::new(path)
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(std::path::Path::new("."));
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// The blocks of a `.lgb` file: ~[`BLOCK_SIZE`] each on line boundaries; an
+/// empty input is stored as one empty block.
+fn file_blocks(raw: &[u8]) -> Vec<&[u8]> {
+    let mut blocks = loggrep::split_blocks(raw, BLOCK_SIZE);
     if blocks.is_empty() {
         blocks.push(&[]);
     }
@@ -710,15 +722,6 @@ fn gen_log(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())
 }
 
-/// Reads all of stdin (used by tests that pipe data through the CLI).
-pub fn read_stdin() -> Result<Vec<u8>, String> {
-    let mut buf = Vec::new();
-    std::io::stdin()
-        .read_to_end(&mut buf)
-        .map_err(|e| e.to_string())?;
-    Ok(buf)
-}
-
 fn human(bytes: usize) -> String {
     if bytes >= 1 << 20 {
         format!("{:.2} MiB", bytes as f64 / (1 << 20) as f64)
@@ -738,7 +741,7 @@ impl MultiArchive {
     /// Compresses raw logs in memory into a multi-block archive.
     pub fn compress(raw: &[u8], config: LogGrepConfig) -> Result<Self, String> {
         let engine = LogGrep::new(config);
-        let archives = split_blocks(raw)
+        let archives = file_blocks(raw)
             .into_iter()
             .map(|b| engine.compress(b).map(|boxed| engine.open(boxed)))
             .collect::<Result<Vec<_>, _>>()
@@ -792,15 +795,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn block_splitting_respects_lines() {
-        let mut raw = Vec::new();
-        for i in 0..1000 {
-            raw.extend_from_slice(format!("line number {i} with some padding\n").as_bytes());
-        }
-        let blocks = split_blocks(&raw);
-        assert_eq!(blocks.len(), 1); // Small input: one block.
-        let total: usize = blocks.iter().map(|b| b.len()).sum();
-        assert_eq!(total, raw.len());
+    fn empty_input_is_one_empty_block() {
+        assert_eq!(file_blocks(b""), vec![&b""[..]]);
+        assert_eq!(file_blocks(b"a\nb\n"), vec![&b"a\nb\n"[..]]);
+    }
+
+    #[test]
+    fn compress_file_replaces_output_all_or_nothing() {
+        let dir = std::env::temp_dir().join(format!("loggrep-cli-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (input, output, tmp) = (path("in.log"), path("out.lgb"), path("out.lgb.tmp"));
+        std::fs::write(&output, b"the previous archive").unwrap();
+
+        // A NUL byte fails the run: the old output survives byte for byte.
+        std::fs::write(&input, b"fine line\nbad \0 line\n").unwrap();
+        assert!(compress_file(&input, &output).is_err());
+        assert_eq!(std::fs::read(&output).unwrap(), b"the previous archive");
+        assert!(!std::path::Path::new(&tmp).exists());
+
+        std::fs::write(&input, b"fine line\nanother line\n").unwrap();
+        compress_file(&input, &output).unwrap();
+        assert_eq!(open_file(&output).unwrap().len(), 1);
+        assert!(!std::path::Path::new(&tmp).exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

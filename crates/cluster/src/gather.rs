@@ -18,7 +18,7 @@
 //!    deterministic jitter, then retry, until the shard deadline.
 
 use crate::replication::Node;
-use crate::transport::{Delivery, MsgCtx, MsgKind, NodeId, SimNet};
+use crate::transport::{mix, Delivery, MsgCtx, MsgKind, NodeId, SimNet};
 
 /// Retry/timeout/hedging knobs for the scatter-gather read path.
 ///
@@ -73,14 +73,6 @@ pub struct ShardStatus {
     pub elapsed_us: u64,
     /// The last error when `ok` is false.
     pub error: Option<String>,
-}
-
-/// splitmix64 finalizer for deterministic backoff jitter.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One shard's read, returning its status and (on success) the hits.

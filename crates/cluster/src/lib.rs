@@ -324,7 +324,7 @@ impl Cluster {
     ///   is exactly as before the call.
     pub fn ingest(&mut self, raw: &[u8], block_bytes: usize) -> Result<usize, ClusterError> {
         let _span = telemetry::span("cluster/ingest");
-        let blocks = split_blocks(raw, block_bytes.max(1));
+        let blocks = loggrep::split_blocks(raw, block_bytes);
         let n = blocks.len();
         if n == 0 {
             return Ok(0);
@@ -603,26 +603,6 @@ impl Drop for Cluster {
     }
 }
 
-/// Splits raw logs into blocks of at most `block_bytes` on line
-/// boundaries — the exact split the cluster ingests, exposed so oracles
-/// (difftest, tests) can reproduce per-block expectations.
-pub fn split_blocks(raw: &[u8], block_bytes: usize) -> Vec<&[u8]> {
-    let block_bytes = block_bytes.max(1);
-    let mut blocks = Vec::new();
-    let mut start = 0usize;
-    while start < raw.len() {
-        let mut end = (start + block_bytes).min(raw.len());
-        if end < raw.len() {
-            while end < raw.len() && raw[end - 1] != b'\n' {
-                end += 1;
-            }
-        }
-        blocks.push(&raw[start..end]);
-        start = end;
-    }
-    blocks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,17 +766,5 @@ mod tests {
         assert!(result.locations.iter().all(|(b, _)| *b < blocks));
         // Locations are in global order.
         assert!(result.locations.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn split_blocks_respects_line_boundaries() {
-        let raw = sample(500);
-        let blocks = split_blocks(&raw, 700);
-        assert!(blocks.len() > 1);
-        let total: usize = blocks.iter().map(|b| b.len()).sum();
-        assert_eq!(total, raw.len());
-        for b in &blocks[..blocks.len() - 1] {
-            assert_eq!(b.last(), Some(&b'\n'));
-        }
     }
 }

@@ -7,15 +7,7 @@
 //! participant (coordinator, tests, the difftest oracle) derives the same
 //! placement with no coordination.
 
-use crate::transport::NodeId;
-
-/// splitmix64 finalizer used for both placement hashes.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::transport::{mix, NodeId};
 
 /// The cluster's explicit shard map: block → shard → replica set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

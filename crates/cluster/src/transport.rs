@@ -177,8 +177,9 @@ pub struct SimNet {
     state: Mutex<Vec<NodeState>>,
 }
 
-/// splitmix64 finalizer: mixes message context into fault draws.
-fn mix(mut z: u64) -> u64 {
+/// splitmix64 finalizer: the crate's one deterministic hash (fault draws,
+/// placement, backoff jitter).
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -99,7 +99,7 @@ fn partitioned_shard_yields_labeled_partial_results() {
         let map = *c.shard_map();
         let q = Query::parse("ERROR").unwrap();
         let mut expected: Vec<Vec<u8>> = Vec::new();
-        for (i, block) in cluster::split_blocks(&raw, block_bytes).iter().enumerate() {
+        for (i, block) in loggrep::split_blocks(&raw, block_bytes).iter().enumerate() {
             if map.replicas(map.shard_of_block(i))[0] == victim {
                 continue;
             }

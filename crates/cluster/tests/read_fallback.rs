@@ -115,7 +115,7 @@ fn all_replicas_corrupt_fails_only_that_shard() {
     // Survivors are exact: the oracle minus the bad shard's blocks.
     let q = Query::parse("WARN").unwrap();
     let mut expected: Vec<Vec<u8>> = Vec::new();
-    for (i, block) in cluster::split_blocks(&raw, 4 * 1024).iter().enumerate() {
+    for (i, block) in loggrep::split_blocks(&raw, 4 * 1024).iter().enumerate() {
         if map.shard_of_block(i) == bad_shard {
             continue;
         }

@@ -159,7 +159,7 @@ pub fn run_case(seed: u64, case: u64) -> CaseOutcome {
 
     // Invariant 1: the lines are exactly the oracle's matches over the
     // blocks of the shards reported ok, in block order.
-    let cluster_blocks = cluster::split_blocks(&raw, block_bytes);
+    let cluster_blocks = loggrep::split_blocks(&raw, block_bytes);
     let mut ok_blocks: Vec<usize> = result
         .shards
         .iter()

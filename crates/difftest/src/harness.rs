@@ -287,14 +287,18 @@ fn check_stats(
     if !result.line_numbers.windows(2).all(|w| w[0] < w[1]) {
         return Err("line numbers not strictly ascending".to_string());
     }
-    // Plan drift: execution must stay within the planner's predictions
-    // (lazy-execution bounds; vacuous for wildcard queries).
+    // Plan drift: the executor runs the plan `explain` prints, so skips and
+    // stamp rejections are equal (at most, under `and`/`not`), and a query
+    // that reconstructs nothing opens no Capsule outside the plan.
     let explanation = archive
         .explain(query)
         .map_err(|e| format!("explain failed: {e}"))?;
     let drift = explanation.drift(stats);
-    if !drift.consistent() {
-        return Err(format!("plan drift out of bounds: {drift}"));
+    let unplanned = result.lines.is_empty()
+        && stats.rows_verified == 0
+        && drift.actual_capsules_decompressed > drift.predicted_scan_capsules;
+    if !drift.consistent() || unplanned {
+        return Err(format!("execution left the plan: {drift}"));
     }
     Ok(())
 }

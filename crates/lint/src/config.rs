@@ -16,8 +16,8 @@ pub const DESIGNATED: &[(&str, ScopeSpec)] = &[
     ("crates/loggrep/src/vector.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/pattern.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/query/exec.rs", ScopeSpec::WholeFile),
+    ("crates/loggrep/src/query/locate.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/query/render.rs", ScopeSpec::WholeFile),
-    ("crates/loggrep/src/query/session.rs", ScopeSpec::WholeFile),
     ("crates/cli/src/lib.rs", ScopeSpec::WholeFile),
     ("crates/strsearch/src/fixed.rs", ScopeSpec::WholeFile),
     (

@@ -503,9 +503,43 @@ pub fn split_lines(raw: &[u8]) -> Vec<&[u8]> {
     body.split(|&b| b == b'\n').collect()
 }
 
+/// Splits raw logs into blocks of about `block_bytes` (at least one byte)
+/// on line boundaries: every block but the last ends with a newline, so no
+/// line straddles two blocks. Empty input has no blocks.
+pub fn split_blocks(raw: &[u8], block_bytes: usize) -> Vec<&[u8]> {
+    let mut blocks = Vec::new();
+    let mut start = 0usize;
+    while start < raw.len() {
+        let mut end = start.saturating_add(block_bytes.max(1)).min(raw.len());
+        // Extend to the next newline so lines never straddle blocks.
+        while end < raw.len() && raw.get(end - 1) != Some(&b'\n') {
+            end += 1;
+        }
+        blocks.push(raw.get(start..end).unwrap_or_default());
+        start = end;
+    }
+    blocks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_blocks_respects_line_boundaries() {
+        let raw: Vec<u8> = (0..500)
+            .flat_map(|i| format!("INFO req {i} from host{}\n", i % 7).into_bytes())
+            .collect();
+        for block_bytes in [0, 1, 700] {
+            let blocks = split_blocks(&raw, block_bytes);
+            assert!(blocks.len() > 1);
+            assert_eq!(blocks.concat(), raw);
+            assert!(blocks.iter().all(|b| b.last() == Some(&b'\n')));
+        }
+        assert_eq!(split_blocks(&raw, raw.len()), vec![&raw[..]]);
+        assert_eq!(split_blocks(b"a\nbc", 1), vec![&b"a\n"[..], b"bc"]);
+        assert!(split_blocks(b"", 64).is_empty());
+    }
 
     #[test]
     fn split_lines_edges() {

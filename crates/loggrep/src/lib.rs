@@ -51,7 +51,7 @@ pub mod wire;
 
 pub use boxfile::{Archive, CapsuleBox};
 pub use config::LogGrepConfig;
-pub use engine::LogGrep;
+pub use engine::{split_blocks, LogGrep};
 pub use error::{Error, Result};
 pub use query::explain::{AggDrift, Explanation, GroupDecision, PlanDrift};
 pub use query::lang::{AggSpec, Query};

@@ -5,16 +5,15 @@ use crate::boxfile::Archive;
 use crate::capsule::{CapsuleMeta, Layout};
 use crate::error::{Error, Result};
 use crate::extract::nominal::{format_index, parse_index};
-use crate::extract::DictPattern;
-use crate::pattern::{RuntimePattern, Segment};
 use crate::query::lang::{Expr, Query, SearchString};
-use crate::query::plan::{plan, Conj, Mode, Plan, SegRef};
+use crate::query::locate::{locate, Matches, Probe, Target};
+use crate::query::plan::Mode;
 use crate::query::render::{group_ops, Op};
 use crate::rowset::RowSet;
 use crate::stats::QueryStats;
-use crate::vector::VectorMeta;
+use crate::vector::{DictRegion, VectorMeta};
 use crate::PAD;
-use logparse::{Piece, DEFAULT_DELIMS};
+use logparse::DEFAULT_DELIMS;
 use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -261,39 +260,10 @@ impl<'a> ExecCtx<'a> {
         Ok(hits)
     }
 
-    /// Stamp pre-filter (§5.1): false means the requirement cannot match and
-    /// the Capsule need not be decompressed.
-    fn stamp_admits(&mut self, id: u32, needle: &[u8]) -> bool {
-        if !self.archive.use_stamps {
-            return true;
-        }
-        let _span = telemetry::span("stamp");
-        telemetry::counter!("query.stamp_checks", 1);
-        // A bad Capsule id keeps the filter fail-open; the subsequent
-        // decompression reports the Corrupt error with context.
-        let Ok(meta) = self.meta(id) else { return true };
-        let ok = meta.stamp.admits(needle);
-        if !ok {
-            self.stats.stamp_rejections += 1;
-            telemetry::counter!("query.stamp_rejections", 1);
-        }
-        ok
-    }
-
     /// Counts rows materialized for wildcard/overflow verification.
     fn note_rows_verified(&mut self, rows: usize) {
         self.stats.rows_verified += rows;
         telemetry::counter!("query.rows_verified", rows as u64);
-    }
-
-    /// Runs the Capsule-locating planner (§5.1) under the `plan` span,
-    /// accumulating its wall time into the per-query plan/execute split.
-    fn plan_timed(&mut self, segs: &[SegRef<'_>], needle: &[u8], mode: Mode) -> Plan {
-        let _span = telemetry::span("plan");
-        let t = Instant::now();
-        let p = plan(segs, needle, mode);
-        self.stats.plan_elapsed += t.elapsed();
-        p
     }
 
     // ------------------------------------------------------------------
@@ -396,18 +366,13 @@ impl<'a> ExecCtx<'a> {
     }
 
     fn eval_search_in_group(&mut self, s: &SearchString, gid: usize) -> Result<RowSet> {
-        if let Some(lit) = s.as_literal() {
-            return self.eval_literal_in_group(gid, lit);
+        // A wildcard string locates candidates with its longest literal
+        // fragment (a literal string is its own), then verifies them by
+        // reconstruction.
+        let candidates = self.eval_literal_in_group(gid, s.longest_literal())?;
+        if s.as_literal().is_some() {
+            return Ok(candidates);
         }
-        // Wildcard string: locate candidates with the longest literal
-        // fragment, then verify by reconstruction.
-        let frag = s.longest_literal();
-        let group_rows = self.group(gid)?.rows();
-        let candidates = if frag.is_empty() {
-            RowSet::all(group_rows)
-        } else {
-            self.eval_literal_in_group(gid, frag)?
-        };
         let rows: Vec<u32> = candidates.iter().collect();
         self.verify_rows(gid, &rows, |line| s.matches_line(line, DEFAULT_DELIMS))
     }
@@ -437,110 +402,99 @@ impl<'a> ExecCtx<'a> {
         Ok(RowSet::from_sorted(hits))
     }
 
-    /// Rows of a group whose rendered line contains the literal `kw`.
+    /// Rows of a group whose rendered line contains the literal `kw`: locate
+    /// (§5.1, metadata only), then run the probes that survived.
     fn eval_literal_in_group(&mut self, gid: usize, kw: &[u8]) -> Result<RowSet> {
         let _span = telemetry::span("literal");
         let group = self.group(gid)?;
         let nrows = group.rows();
-        if nrows == 0 {
-            return Ok(RowSet::empty());
+        let start = Instant::now();
+        let located = locate(self.archive, group, kw, Mode::Contains)?;
+        self.stats.plan_elapsed += start.elapsed();
+        if located.stamp_rejections > 0 {
+            self.stats.stamp_rejections += located.stamp_rejections;
+            telemetry::counter!("query.stamp_rejections", located.stamp_rejections as u64);
         }
-        let pieces = group.template.pieces();
-        let segs: Vec<SegRef<'_>> = pieces
-            .iter()
-            .map(|p| match p {
-                Piece::Static(s) => SegRef::Const(s.as_slice()),
-                Piece::Slot(i) => SegRef::Var(*i),
-            })
-            .collect();
-        match self.plan_timed(&segs, kw, Mode::Contains) {
-            Plan::All => Ok(RowSet::all(nrows)),
-            Plan::Overflow => self.brute_force_group(gid, |line| strsearch::contains(line, kw)),
-            Plan::Conjs(conjs) => {
-                if conjs.is_empty() {
-                    self.stats.groups_skipped += 1;
-                    telemetry::counter!("query.groups_skipped", 1);
-                    return Ok(RowSet::empty());
-                }
-                let mut out = RowSet::empty();
-                for conj in &conjs {
-                    let rows = self.eval_conj_on_slots(gid, conj, kw, nrows)?;
-                    out = out.union(&rows);
-                }
-                Ok(out)
+        if located.matches.is_dead() {
+            self.stats.groups_skipped += 1;
+            telemetry::counter!("query.groups_skipped", 1);
+        }
+        match &located.matches {
+            Matches::All => Ok(RowSet::all(nrows)),
+            Matches::Overflow => {
+                let rows: Vec<u32> = (0..nrows).collect();
+                self.verify_rows(gid, &rows, |line| strsearch::contains(line, kw))
             }
+            Matches::Any(conjs) => self.eval_conjs(conjs, nrows),
         }
     }
 
-    /// Intersection of slot-requirements of one conjunction.
-    fn eval_conj_on_slots(
-        &mut self,
-        gid: usize,
-        conj: &Conj,
-        kw: &[u8],
-        nrows: u32,
-    ) -> Result<RowSet> {
-        let mut rows = RowSet::all(nrows);
-        for req in conj {
-            if rows.is_empty() {
-                break;
+    /// Rows (of `nrows`) matching every probe of some conjunction.
+    fn eval_conjs(&mut self, conjs: &[Vec<Probe<'_>>], nrows: u32) -> Result<RowSet> {
+        let mut out = RowSet::empty();
+        for conj in conjs {
+            let mut rows = RowSet::all(nrows);
+            for probe in conj {
+                if rows.is_empty() {
+                    break;
+                }
+                rows = rows.intersect(&self.eval_probe(probe, nrows)?);
             }
-            let part = kw
-                .get(req.lo..req.hi)
-                .ok_or_else(|| Error::Corrupt("plan range outside keyword".into()))?;
-            let hit = self.eval_var_req(gid, req.var, part, req.mode)?;
-            rows = rows.intersect(&hit);
+            out = out.union(&rows);
         }
-        Ok(rows)
+        Ok(out)
     }
 
-    /// Group rows whose value of slot `slot` satisfies `(mode, needle)` —
-    /// the per-variable-vector matching of §5.1, dispatching on storage form.
-    fn eval_var_req(
-        &mut self,
-        gid: usize,
-        slot: usize,
-        needle: &[u8],
-        mode: Mode,
-    ) -> Result<RowSet> {
-        // Borrow through the 'a archive reference, which outlives &mut self,
-        // so no clone of the vector metadata is needed.
-        let group = self.group(gid)?;
-        let nrows = group.rows();
-        let vector = group
-            .vectors
-            .get(slot)
-            .ok_or_else(|| Error::Corrupt("template slot outside vector table".into()))?;
-        match vector {
-            VectorMeta::Plain { capsule } => {
-                if !self.stamp_admits(*capsule, needle) {
-                    return Ok(RowSet::empty());
-                }
-                Ok(RowSet::from_sorted(
-                    self.capsule_find(*capsule, needle, mode)?,
-                ))
-            }
-            VectorMeta::Real {
+    /// Rows whose value satisfies one located requirement — the
+    /// per-variable-vector matching of §5.1, dispatching on storage form.
+    fn eval_probe(&mut self, probe: &Probe<'_>, nrows: u32) -> Result<RowSet> {
+        let &Probe { part, mode, .. } = probe;
+        match &probe.target {
+            Target::Plain { cap } => Ok(RowSet::from_sorted(self.capsule_find(*cap, part, mode)?)),
+            Target::Real {
                 pattern,
                 sub_caps,
                 outlier_cap,
                 outlier_rows,
+                sub,
             } => {
-                let mut out = self.eval_real_pattern(
-                    pattern,
-                    sub_caps,
-                    *outlier_cap,
-                    outlier_rows,
-                    nrows,
-                    needle,
-                    mode,
-                )?;
+                // Sub-variable Capsules hold the pattern rows only.
+                let map = VectorMeta::pattern_row_map(outlier_rows, nrows);
+                let hits = match sub {
+                    Matches::All => map,
+                    Matches::Overflow => {
+                        // Scan the variable vector by materializing the
+                        // values of its pattern rows into one reused buffer.
+                        let mut values =
+                            Op::real(&self.payloads, pattern, sub_caps, *outlier_cap, outlier_rows)?;
+                        let mut value = Vec::new();
+                        let mut hits = Vec::new();
+                        for &row in &map {
+                            value.clear();
+                            values.append(row, &mut value)?;
+                            if value_matches(&value, part, mode) {
+                                hits.push(row);
+                            }
+                        }
+                        self.note_rows_verified(map.len());
+                        hits
+                    }
+                    Matches::Any(conjs) => {
+                        let mut hits = Vec::new();
+                        for pr in self.eval_conjs(conjs, map.len() as u32)?.iter() {
+                            hits.push(map.get(pr as usize).copied().ok_or_else(|| {
+                                Error::Corrupt("pattern row outside row map".into())
+                            })?);
+                        }
+                        hits
+                    }
+                };
+                let mut out = RowSet::from_sorted(hits);
                 // The outlier Capsule is always scanned (§4.1). Its row
                 // count is untrusted, so hits are mapped fallibly.
                 if !outlier_rows.is_empty() {
-                    let hits = self.capsule_find(*outlier_cap, needle, mode)?;
-                    let mut mapped = Vec::with_capacity(hits.len());
-                    for r in hits {
+                    let mut mapped = Vec::new();
+                    for r in self.capsule_find(*outlier_cap, part, mode)? {
                         mapped.push(outlier_rows.get(r as usize).copied().ok_or_else(|| {
                             Error::Corrupt("outlier capsule row outside outlier table".into())
                         })?);
@@ -549,121 +503,32 @@ impl<'a> ExecCtx<'a> {
                 }
                 Ok(out)
             }
-            VectorMeta::Nominal {
-                patterns,
+            Target::Nominal {
+                regions,
                 dict_cap,
                 index_cap,
                 idx_len,
-                dict_len,
-                ..
-            } => self.eval_nominal(
-                patterns, *dict_cap, *index_cap, *idx_len, *dict_len, needle, mode, nrows,
-            ),
+            } => self.eval_nominal(regions, *dict_cap, *index_cap, *idx_len, part, mode, nrows),
         }
     }
 
-    /// The runtime-pattern path for a real vector.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_real_pattern(
-        &mut self,
-        pattern: &RuntimePattern,
-        sub_caps: &[u32],
-        outlier_cap: u32,
-        outlier_rows: &[u32],
-        nrows: u32,
-        needle: &[u8],
-        mode: Mode,
-    ) -> Result<RowSet> {
-        let segs: Vec<SegRef<'_>> = pattern
-            .segments
-            .iter()
-            .map(|s| match s {
-                Segment::Const(c) => SegRef::Const(c.as_slice()),
-                Segment::Var(v) => SegRef::Var(*v),
-            })
-            .collect();
-        let pattern_rows = || VectorMeta::pattern_row_map(outlier_rows, nrows);
-        match self.plan_timed(&segs, needle, mode) {
-            Plan::All => Ok(RowSet::from_sorted(pattern_rows())),
-            Plan::Overflow => {
-                // Scan the variable vector by materializing the values of
-                // its pattern rows into one reused buffer.
-                let map = pattern_rows();
-                let mut values =
-                    Op::real(&self.payloads, pattern, sub_caps, outlier_cap, outlier_rows)?;
-                let mut value = Vec::new();
-                let mut hits = Vec::new();
-                for &row in &map {
-                    value.clear();
-                    values.append(row, &mut value)?;
-                    if value_matches(&value, needle, mode) {
-                        hits.push(row);
-                    }
-                }
-                self.note_rows_verified(map.len());
-                Ok(RowSet::from_sorted(hits))
-            }
-            Plan::Conjs(conjs) => {
-                let map = pattern_rows();
-                let total_pattern_rows = map.len() as u32;
-                let mut out = RowSet::empty();
-                for conj in &conjs {
-                    let mut rows = RowSet::all(total_pattern_rows);
-                    for req in conj {
-                        if rows.is_empty() {
-                            break;
-                        }
-                        let part = needle
-                            .get(req.lo..req.hi)
-                            .ok_or_else(|| Error::Corrupt("plan range outside keyword".into()))?;
-                        let cap = sub_caps.get(req.var).copied().ok_or_else(|| {
-                            Error::Corrupt("plan sub-variable outside capsule table".into())
-                        })?;
-                        if !self.stamp_admits(cap, part) {
-                            rows = RowSet::empty();
-                            break;
-                        }
-                        let hit = RowSet::from_sorted(self.capsule_find(cap, part, req.mode)?);
-                        rows = rows.intersect(&hit);
-                    }
-                    out = out.union(&rows);
-                }
-                // Map pattern rows to vector rows.
-                let mut vec_rows = Vec::new();
-                for pr in out.iter() {
-                    vec_rows.push(map.get(pr as usize).copied().ok_or_else(|| {
-                        Error::Corrupt("pattern row outside row map".into())
-                    })?);
-                }
-                Ok(RowSet::from_sorted(vec_rows))
-            }
-        }
-    }
-
-    /// The dictionary + index path for a nominal vector (§5.1 differences).
+    /// The dictionary + index path for a nominal vector (§5.1 differences),
+    /// over the dictionary regions the Locator left standing.
     #[allow(clippy::too_many_arguments)]
     fn eval_nominal(
         &mut self,
-        patterns: &[DictPattern],
+        regions: &[DictRegion],
         dict_cap: u32,
         index_cap: u32,
         idx_len: u32,
-        dict_len: u32,
         needle: &[u8],
         mode: Mode,
         nrows: u32,
     ) -> Result<RowSet> {
         let _span = telemetry::span("nominal");
-        let regions = VectorMeta::dict_regions(patterns)?;
         let fixed = matches!(self.meta(dict_cap)?.layout, Layout::Raw);
         let mut matched: Vec<u32> = Vec::new();
-        for (p, region) in patterns.iter().zip(&regions) {
-            if needle.len() as u32 > p.max_len {
-                continue;
-            }
-            if !self.dict_pattern_could_match(p, needle, mode) {
-                continue;
-            }
+        for region in regions {
             // Jump straight to the region (Σ countᵢ×lenᵢ, §5.2) and scan it.
             let hits: Vec<u32> = if fixed {
                 let payload = self.payload(dict_cap)?;
@@ -694,7 +559,6 @@ impl<'a> ExecCtx<'a> {
         if matched.is_empty() {
             return Ok(RowSet::empty());
         }
-        debug_assert!(matched.iter().all(|&i| i < dict_len));
 
         // Search the matched indices in the index Capsule.
         if matched.len() <= 8 {
@@ -724,57 +588,9 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Could `(mode, needle)` match any value of this dictionary pattern?
-    /// Pattern structure plus sub-variable stamps — no decompression.
-    fn dict_pattern_could_match(&mut self, p: &DictPattern, needle: &[u8], mode: Mode) -> bool {
-        let segs: Vec<SegRef<'_>> = p
-            .pattern
-            .segments
-            .iter()
-            .map(|s| match s {
-                Segment::Const(c) => SegRef::Const(c.as_slice()),
-                Segment::Var(v) => SegRef::Var(*v),
-            })
-            .collect();
-        match self.plan_timed(&segs, needle, mode) {
-            Plan::All | Plan::Overflow => true,
-            Plan::Conjs(conjs) => {
-                if !self.archive.use_stamps {
-                    return !conjs.is_empty();
-                }
-                // Out-of-range plan references stay fail-open (true): the
-                // filter may only skip a Capsule when the stamp proves a
-                // non-match.
-                let admits_all = |conj: &Conj| {
-                    conj.iter().all(|req| {
-                        p.pattern.sub_stamps.get(req.var).is_none_or(|s| {
-                            needle.get(req.lo..req.hi).is_none_or(|part| s.admits(part))
-                        })
-                    })
-                };
-                if !conjs.is_empty() {
-                    telemetry::counter!("query.stamp_checks", 1);
-                }
-                let ok = conjs.iter().any(admits_all);
-                if !ok && !conjs.is_empty() {
-                    self.stats.stamp_rejections += 1;
-                    telemetry::counter!("query.stamp_rejections", 1);
-                }
-                ok
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Reconstruction.
     // ------------------------------------------------------------------
-
-    /// Reconstructs every row of a group and keeps those passing `pred`.
-    fn brute_force_group(&mut self, gid: usize, pred: impl Fn(&[u8]) -> bool) -> Result<RowSet> {
-        let nrows = self.group(gid)?.rows();
-        let rows: Vec<u32> = (0..nrows).collect();
-        self.verify_rows(gid, &rows, pred)
-    }
 
     /// Reconstructs the given global line numbers (ascending, as every
     /// caller has them), in that order.
@@ -818,7 +634,7 @@ impl<'a> ExecCtx<'a> {
 
 /// Slices a dictionary region out of a decompressed payload, rejecting
 /// regions whose declared extent overflows or exceeds the payload.
-fn region_bytes<'p>(payload: &'p [u8], region: &crate::vector::DictRegion) -> Result<&'p [u8]> {
+fn region_bytes<'p>(payload: &'p [u8], region: &DictRegion) -> Result<&'p [u8]> {
     let span = usize::try_from(u64::from(region.count) * u64::from(region.width))
         .map_err(|_| Error::Corrupt("dict region overflow".into()))?;
     let end = region

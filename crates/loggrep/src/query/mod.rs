@@ -5,9 +5,9 @@ pub mod cache;
 pub mod exec;
 pub mod explain;
 pub mod lang;
+mod locate;
 pub mod plan;
 mod render;
-pub mod session;
 
 pub use agg::{AggQueryResult, AggResult};
 pub use exec::QueryResult;

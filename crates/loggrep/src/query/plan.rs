@@ -7,6 +7,8 @@
 //! `Exact/Prefix/Suffix/Contains(part)` on variables — the head, tail and
 //! body cases of Figure 6 fall out of the recursion over constants.
 
+use crate::pattern::Segment;
+use logparse::Piece;
 pub use strsearch::fixed::Mode;
 
 /// A segment reference handed to the planner.
@@ -16,6 +18,26 @@ pub enum SegRef<'a> {
     Const(&'a [u8]),
     /// Variable number `usize` (template slot or sub-variable index).
     Var(usize),
+}
+
+impl<'a> From<&'a Piece> for SegRef<'a> {
+    /// A static-pattern piece: its variables are template slots.
+    fn from(piece: &'a Piece) -> Self {
+        match piece {
+            Piece::Static(text) => SegRef::Const(text),
+            Piece::Slot(slot) => SegRef::Var(*slot),
+        }
+    }
+}
+
+impl<'a> From<&'a Segment> for SegRef<'a> {
+    /// A runtime-pattern segment: its variables are sub-variable numbers.
+    fn from(segment: &'a Segment) -> Self {
+        match segment {
+            Segment::Const(text) => SegRef::Const(text),
+            Segment::Var(sub) => SegRef::Var(*sub),
+        }
+    }
 }
 
 /// One requirement on one variable: `kw[lo..hi]` must relate to the

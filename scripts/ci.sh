@@ -77,3 +77,7 @@ if command -v rustup >/dev/null 2>&1 \
 else
     echo "ci: miri not available (nightly toolchain + miri component); skipping"
 fi
+
+# The workspace size ledger (ROADMAP aim 2): engine vs tooling `src/` lines.
+echo "ci: engine src lines:  $(find crates/{loggrep,codec,strsearch,logparse}/src -name '*.rs' | xargs wc -l | tail -n 1)"
+echo "ci: tooling src lines: $(find crates/{lint,difftest,telemetry,bench}/src suite/src -name '*.rs' | xargs wc -l | tail -n 1)"

@@ -80,7 +80,7 @@ fn partitioned_shard_reports_partial_but_exact_survivors() {
         let map = *c.shard_map();
         let q = Query::parse("ERROR").unwrap();
         let mut expected: Vec<Vec<u8>> = Vec::new();
-        for (i, block) in cluster::split_blocks(&raw, BLOCK_BYTES).iter().enumerate() {
+        for (i, block) in loggrep::split_blocks(&raw, BLOCK_BYTES).iter().enumerate() {
             if map.replicas(map.shard_of_block(i))[0] == victim {
                 continue;
             }
