@@ -94,7 +94,7 @@ pub trait Codec: Send + Sync {
     ///
     /// `out` is cleared first; on error its contents are unspecified. The
     /// built-in codecs all override this with an allocation-free decode so
-    /// a query session can recycle one arena buffer across Capsules; the
+    /// a caller can recycle one buffer across payloads; the
     /// default forwards to [`Codec::decompress`] and moves the result.
     ///
     /// # Errors
@@ -137,24 +137,6 @@ pub trait Codec: Send + Sync {
                 .add(out.len() as u64);
         }
         Ok(out)
-    }
-
-    /// [`Codec::decompress_into`] plus per-codec byte accounting
-    /// (`codec.<name>.decompress.bytes_in` / `.bytes_out`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] if the buffer is truncated or corrupt.
-    fn decompress_tracked_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
-        self.decompress_into(input, out)?;
-        if telemetry::enabled() {
-            let name = self.name();
-            telemetry::counter(&format!("codec.{name}.decompress.bytes_in"))
-                .add(input.len() as u64);
-            telemetry::counter(&format!("codec.{name}.decompress.bytes_out"))
-                .add(out.len() as u64);
-        }
-        Ok(())
     }
 }
 
@@ -257,7 +239,7 @@ mod tests {
 
     #[test]
     fn decompress_into_reuses_dirty_buffers() {
-        // A recycled arena buffer arrives full of stale bytes; every codec
+        // A recycled buffer arrives full of stale bytes; every codec
         // must clear it and produce the same output as `decompress`.
         let data: Vec<u8> = (0..997u32).map(|i| (i * 31 % 251) as u8).collect();
         for name in ["store", "deflate", "lzma-lite", "fastlz"] {

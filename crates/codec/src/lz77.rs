@@ -87,7 +87,11 @@ pub struct MatchFinder<'a> {
 impl<'a> MatchFinder<'a> {
     /// Creates a match finder over `data` with the given parameters.
     pub fn new(data: &'a [u8], params: Lz77Params) -> Self {
-        let window = params.window.next_power_of_two() as usize;
+        // Positions never exceed `data.len()`, so for an input shorter than
+        // the window a table of the input's size indexes identically
+        // (`pos & mask == pos`), and a few-KiB payload does not allocate and
+        // zero the 16 MiB a 4 MiB window would.
+        let window = (params.window as usize).min(data.len()).next_power_of_two();
         Self {
             data,
             params,

@@ -16,7 +16,11 @@
 //!   bounds (literal queries only — wildcard plans are vacuously
 //!   consistent);
 //! * with the cache enabled, a repeated query reports `cache_hit` and
-//!   returns byte-identical lines; with it disabled, it never does.
+//!   returns byte-identical lines; with it disabled, it never does;
+//! * warm == cold: the repeat returns the same line numbers, decompresses
+//!   nothing when the first run's Capsules all stayed resident, and with
+//!   the cache disabled (no cross-query state) repeats the first run's
+//!   counts exactly.
 
 use crate::corpus::Case;
 use crate::oracle;
@@ -215,11 +219,13 @@ impl Harness {
                     "block {bi}: cache hit with the cache disabled"
                 )));
             }
-            if repeat.lines != result.lines {
+            if repeat.lines != result.lines || repeat.line_numbers != result.line_numbers {
                 return Err(fail(format!(
                     "block {bi}: cached result differs from cold result"
                 )));
             }
+            check_warm(&archive, &result.stats, &repeat.stats, config.use_query_cache)
+                .map_err(|detail| fail(format!("block {bi}: {detail}")))?;
 
             got.extend(result.lines);
         }
@@ -296,11 +302,46 @@ fn check_stats(
     let drift = explanation.drift(stats);
     let unplanned = result.lines.is_empty()
         && stats.rows_verified == 0
-        && drift.actual_capsules_decompressed > drift.predicted_scan_capsules;
+        && drift.capsules_touched() > drift.predicted_scan_capsules;
     if !drift.consistent() || unplanned {
         return Err(format!("execution left the plan: {drift}"));
     }
     Ok(())
+}
+
+/// Resident-Capsule contract between a cold query and its repeat on the same
+/// archive. With state kept between queries the repeat decompresses nothing
+/// unless the table evicted something (it reads a subset of what the cold
+/// run left resident: a Query Cache hit skips locating); with none kept it
+/// does the cold run's work over again, count for count.
+fn check_warm(
+    archive: &loggrep::Archive,
+    cold: &loggrep::QueryStats,
+    warm: &loggrep::QueryStats,
+    stateful: bool,
+) -> Result<(), String> {
+    let decompressed = |s: &loggrep::QueryStats| (s.capsules_decompressed, s.bytes_decompressed);
+    let resident = |s: &loggrep::QueryStats| (s.capsules_resident, s.bytes_resident);
+    let ok = resident(cold) == (0, 0)
+        && if stateful {
+            archive.resident_evictions() > 0
+                || (decompressed(warm) == (0, 0)
+                    && warm.capsules_resident <= cold.capsules_decompressed)
+        } else {
+            resident(warm) == (0, 0)
+                && decompressed(warm) == decompressed(cold)
+                && archive.resident_bytes() == 0
+        };
+    if ok {
+        return Ok(());
+    }
+    Err(format!(
+        "repeat decompressed {:?} and found resident {:?} after a cold run's {:?} / {:?}",
+        decompressed(warm),
+        resident(warm),
+        decompressed(cold),
+        resident(cold)
+    ))
 }
 
 /// Ordered line-set comparison with a first-divergence report.

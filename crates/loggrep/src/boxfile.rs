@@ -8,6 +8,9 @@ use crate::typemask::TypeMask;
 use crate::vector::VectorMeta;
 use crate::wire::{Reader, Writer};
 use logparse::{Piece, Template};
+use std::cell::OnceCell;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::{Mutex, PoisonError};
 
 /// Magic bytes of the container format.
 const MAGIC: &[u8; 4] = b"LGRB";
@@ -323,15 +326,6 @@ impl CapsuleBox {
 
     /// Decompresses one Capsule payload.
     pub fn decompress_capsule(&self, id: u32) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.decompress_capsule_into(id, &mut out)?;
-        Ok(out)
-    }
-
-    /// Decompresses one Capsule payload into a caller-provided buffer
-    /// (cleared first), reusing its capacity — the arena-friendly form the
-    /// query engine's payload cache uses.
-    pub fn decompress_capsule_into(&self, id: u32, out: &mut Vec<u8>) -> Result<()> {
         let meta = self
             .capsules
             .get(id as usize)
@@ -348,9 +342,49 @@ impl CapsuleBox {
             .get(start..end)
             .ok_or_else(|| Error::Corrupt("capsule range outside blob".into()))?;
         let codec = codec_by_id(meta.codec)?;
-        codec.decompress_tracked_into(payload, out)?;
-        Ok(())
+        Ok(codec.decompress_tracked(payload)?)
     }
+}
+
+/// One decompressed Capsule, as a query's payload table and the archive's
+/// resident table hold it.
+#[derive(Debug)]
+pub(crate) struct Loaded {
+    pub(crate) bytes: Vec<u8>,
+    /// Row byte-ranges of a delimited Capsule, computed on first row access.
+    pub(crate) ranges: OnceCell<Vec<(usize, usize)>>,
+    /// Whether the query holding it took it from the resident table
+    /// instead of decompressing it.
+    pub(crate) was_resident: bool,
+}
+
+impl Loaded {
+    /// Bytes this entry charges against [`RESIDENT_BUDGET_BYTES`].
+    fn cost(&self) -> usize {
+        let ranges = self.ranges.get().map_or(0, Vec::len);
+        self.bytes.len() + ranges * std::mem::size_of::<(usize, usize)>()
+    }
+}
+
+/// Decompressed bytes one open [`Archive`] keeps between queries: the sum
+/// over its resident Capsules of payload length plus row-range table. What
+/// a query holds while it runs is not counted — a full reconstruction needs
+/// every payload at once whatever the budget. 8 MiB is an eighth of the
+/// paper's 64 MiB block; DESIGN.md "Resident Capsules & cursor lifetimes"
+/// has the sweep behind it.
+pub const RESIDENT_BUDGET_BYTES: usize = 8 << 20;
+
+/// The Capsules an [`Archive`] keeps decompressed between queries, least
+/// recently used first out.
+#[derive(Debug, Default)]
+struct Resident {
+    /// Capsule id → its payload and the tick of the query that last held it.
+    entries: HashMap<u32, (Loaded, u64)>,
+    /// Sum of the entries' [`Loaded::cost`]; at most the budget.
+    bytes: usize,
+    /// Counts put-backs: every Capsule one query returns shares a tick.
+    tick: u64,
+    evictions: u64,
 }
 
 /// An opened CapsuleBox with a query engine attached.
@@ -365,16 +399,12 @@ pub struct Archive {
     pub(crate) use_stamps: bool,
     /// Lazily built map: line number → (group id, group row).
     line_index: std::sync::OnceLock<Vec<(u32, u32)>>,
-    /// Recycled decompression buffers: queries decompress Capsules into
-    /// these and return them when they finish, so repeated queries stop
-    /// re-allocating megabytes of payload Vecs (see `query::exec::ExecCtx`).
-    arena: parking_lot::Mutex<Vec<Vec<u8>>>,
+    /// Decompressed Capsules kept between queries. A query *moves* an entry
+    /// out while it runs and back when it ends (see `query::exec::Payloads`),
+    /// so the lock is held for a table operation only — never across a
+    /// decompression or a render.
+    resident: Mutex<Resident>,
 }
-
-/// Most buffers the arena will hold; beyond it, returned buffers are freed.
-/// Bounds idle memory at `ARENA_MAX_BUFFERS ×` the largest payload while
-/// still covering every Capsule of a typical block.
-const ARENA_MAX_BUFFERS: usize = 64;
 
 impl Archive {
     /// Opens an archive from serialized CapsuleBox bytes.
@@ -391,30 +421,86 @@ impl Archive {
             use_query_cache: true,
             use_stamps: true,
             line_index: std::sync::OnceLock::new(),
-            arena: parking_lot::Mutex::new(Vec::new()),
+            resident: Mutex::default(),
         }
     }
 
-    /// Takes a recycled decompression buffer (empty, capacity retained), or
-    /// a fresh one when the arena is dry.
-    pub(crate) fn take_buffer(&self) -> Vec<u8> {
-        self.arena.lock().pop().unwrap_or_default()
+    /// Moves a Capsule out of the resident table, if it is there. Two
+    /// queries never share an entry: the second to ask decompresses its own.
+    pub(crate) fn take_resident(&self, id: u32) -> Result<Option<Loaded>> {
+        // The "w/o cache" ablation keeps no state between queries at all.
+        if !self.use_query_cache {
+            return Ok(None);
+        }
+        let mut table = self.resident.lock().map_err(|_| {
+            Error::Corrupt("a query panicked holding the resident-Capsule table".into())
+        })?;
+        let Some((mut loaded, _)) = table.entries.remove(&id) else {
+            return Ok(None);
+        };
+        table.bytes -= loaded.cost();
+        loaded.was_resident = true;
+        Ok(Some(loaded))
     }
 
-    /// Returns a buffer to the arena for the next query. The buffer
-    /// is cleared here; its capacity is what gets recycled.
-    pub(crate) fn return_buffer(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut arena = self.arena.lock();
-        if arena.len() < ARENA_MAX_BUFFERS {
-            arena.push(buf);
+    /// Makes a finished query's Capsules resident, then evicts the least
+    /// recently used entries (ties by Capsule id, so a repeated scan larger
+    /// than the budget keeps hitting the same part of it) until the table
+    /// is within [`RESIDENT_BUDGET_BYTES`]. A Capsule larger than the whole
+    /// budget is dropped, and so is one another query made resident first.
+    pub(crate) fn put_back_resident(&self, capsules: impl Iterator<Item = (u32, Loaded)>) {
+        if !self.use_query_cache {
+            return;
+        }
+        // A poisoned table takes nothing back: the buffers are freed.
+        let Ok(mut table) = self.resident.lock() else {
+            return;
+        };
+        let table = &mut *table;
+        table.tick += 1;
+        let mut evicted = 0u64;
+        for (id, loaded) in capsules {
+            let cost = loaded.cost();
+            if cost > RESIDENT_BUDGET_BYTES {
+                evicted += 1;
+            } else if let Entry::Vacant(slot) = table.entries.entry(id) {
+                slot.insert((loaded, table.tick));
+                table.bytes += cost;
+            }
+        }
+        if table.bytes > RESIDENT_BUDGET_BYTES {
+            let mut oldest: Vec<(u64, u32)> = table
+                .entries
+                .iter()
+                .map(|(&id, &(_, used))| (used, id))
+                .collect();
+            oldest.sort_unstable();
+            for (_, id) in oldest {
+                if table.bytes <= RESIDENT_BUDGET_BYTES {
+                    break;
+                }
+                if let Some((loaded, _)) = table.entries.remove(&id) {
+                    table.bytes -= loaded.cost();
+                    evicted += 1;
+                }
+            }
+        }
+        if evicted > 0 {
+            table.evictions += evicted;
+            telemetry::counter!("query.resident.evictions", evicted);
         }
     }
 
-    /// Number of buffers currently parked in the decompression arena
-    /// (test/telemetry visibility for the recycling path).
-    pub fn arena_buffers(&self) -> usize {
-        self.arena.lock().len()
+    /// Decompressed bytes currently resident (test/telemetry visibility for
+    /// the [`RESIDENT_BUDGET_BYTES`] bound).
+    pub fn resident_bytes(&self) -> usize {
+        self.resident.lock().map_or(0, |table| table.bytes)
+    }
+
+    /// Capsules the resident table has declined or evicted under its byte
+    /// bound since the last [`Archive::clear_caches`].
+    pub fn resident_evictions(&self) -> u64 {
+        self.resident.lock().map_or(0, |table| table.evictions)
     }
 
     /// The line-number → (group, row) map, built on first use.
@@ -433,9 +519,13 @@ impl Archive {
         })
     }
 
-    /// Disables/enables the query cache ("w/o cache" ablation).
+    /// Disables/enables everything an archive remembers between queries —
+    /// the query cache and the resident Capsules ("w/o cache" ablation).
     pub fn set_query_cache(&mut self, on: bool) {
         self.use_query_cache = on;
+        if !on {
+            self.clear_caches();
+        }
     }
 
     /// Disables/enables stamp filtering ("w/o stamp" ablation).
@@ -452,9 +542,12 @@ impl Archive {
         self.cache.set_capacity(entries);
     }
 
-    /// Drops the query-result cache, so benchmarks can re-time a query cold.
+    /// Drops the query-result cache and every resident Capsule, so
+    /// benchmarks can re-time a query cold.
     pub fn clear_caches(&self) {
         self.cache.clear();
+        // Whatever state a panicked query left, overwriting it is valid.
+        *self.resident.lock().unwrap_or_else(PoisonError::into_inner) = Resident::default();
     }
 
     /// Number of entries currently held by the query cache (test/telemetry

@@ -13,8 +13,8 @@
 //!   (at most one decompression; the index Capsule stays untouched);
 //! * filtered `top-K` over a nominal vector scans the index Capsule for
 //!   the selected rows only;
-//! * `top-K` over plain/real vectors falls back to lazy, arena-backed
-//!   per-row value reconstruction — never full line rendering.
+//! * `top-K` over plain/real vectors falls back to lazy per-row value
+//!   reconstruction — never full line rendering.
 //!
 //! The most expensive layer actually used is recorded in
 //! [`QueryStats::agg_layer`] (and per-layer telemetry counters), which the

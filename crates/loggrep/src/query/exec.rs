@@ -1,7 +1,7 @@
 //! Query execution over a CapsuleBox (§5): Capsule locating with runtime
 //! patterns, stamp filtering, fixed-length matching, and reconstruction.
 
-use crate::boxfile::Archive;
+use crate::boxfile::{Archive, Loaded};
 use crate::capsule::{CapsuleMeta, Layout};
 use crate::error::{Error, Result};
 use crate::extract::nominal::{format_index, parse_index};
@@ -79,7 +79,7 @@ impl Archive {
         };
         let mut stats = ctx.take_stats();
         {
-            // Payload buffers return to the arena here.
+            // The query's Capsules become resident here.
             let _span = telemetry::span("teardown");
             drop(ctx);
         }
@@ -114,32 +114,28 @@ pub(crate) enum Selection {
     Rows(Vec<RowSet>),
 }
 
-/// One decompressed Capsule of a query.
-struct Loaded {
-    bytes: Vec<u8>,
-    /// Row byte-ranges of a delimited Capsule, computed on first row access.
-    ranges: OnceCell<Vec<(usize, usize)>>,
-}
-
 /// A query's decompressed Capsules, in a table indexed by Capsule id: each
-/// Capsule is decompressed at most once per query, on first use, into a
-/// buffer of the archive's arena. Cells are written once behind a shared
-/// reference, so the column readers of `query::render` can hold payload
-/// slices while further Capsules load. Reads are serial per block (blocks
-/// are the unit of parallelism), so the table never crosses a thread.
+/// Capsule is loaded at most once per query, on first use — moved out of the
+/// archive's resident table if a previous query left it there, decompressed
+/// otherwise. Cells are written once behind a shared reference, so the
+/// column readers of `query::render` can hold payload slices while further
+/// Capsules load. Reads are serial per block (blocks are the unit of
+/// parallelism), so the table never crosses a thread.
 pub(crate) struct Payloads<'a> {
     archive: &'a Archive,
     cells: Vec<OnceCell<Loaded>>,
 }
 
 impl Drop for Payloads<'_> {
-    /// Returns the query's decompressed payload buffers to the archive's
-    /// arena so the next query reuses their capacity instead of
-    /// re-allocating megabytes of Vecs.
+    /// Leaves the query's Capsules resident in the archive, so the next
+    /// query that touches them does not decompress them again.
     fn drop(&mut self) {
-        for loaded in self.cells.drain(..).filter_map(OnceCell::into_inner) {
-            self.archive.return_buffer(loaded.bytes);
-        }
+        let cells = std::mem::take(&mut self.cells).into_iter();
+        self.archive.put_back_resident(
+            (0u32..)
+                .zip(cells)
+                .filter_map(|(id, cell)| Some((id, cell.into_inner()?))),
+        );
     }
 }
 
@@ -152,7 +148,7 @@ impl<'a> Payloads<'a> {
             .ok_or_else(|| Error::Corrupt(format!("capsule id {id} out of range")))
     }
 
-    /// The table entry of one Capsule, decompressing it on first use.
+    /// The table entry of one Capsule, loading it on first use.
     fn load(&self, id: u32) -> Result<&Loaded> {
         let cell = self
             .cells
@@ -161,19 +157,25 @@ impl<'a> Payloads<'a> {
         if let Some(loaded) = cell.get() {
             return Ok(loaded);
         }
-        // The buffer comes from (and on drop returns to) the archive arena.
-        let _span = telemetry::span("decompress");
-        let mut bytes = self.archive.take_buffer();
-        if let Err(e) = self.archive.boxed.decompress_capsule_into(id, &mut bytes) {
-            self.archive.return_buffer(bytes);
-            return Err(e);
-        }
-        telemetry::counter!("query.capsules_decompressed", 1);
-        telemetry::counter!("query.bytes_decompressed", bytes.len() as u64);
-        Ok(cell.get_or_init(|| Loaded {
-            bytes,
-            ranges: OnceCell::new(),
-        }))
+        let loaded = match self.archive.take_resident(id)? {
+            Some(loaded) => {
+                telemetry::counter!("query.resident.hits", 1);
+                telemetry::counter!("query.resident.bytes", loaded.bytes.len() as u64);
+                loaded
+            }
+            None => {
+                let _span = telemetry::span("decompress");
+                let bytes = self.archive.boxed.decompress_capsule(id)?;
+                telemetry::counter!("query.capsules_decompressed", 1);
+                telemetry::counter!("query.bytes_decompressed", bytes.len() as u64);
+                Loaded {
+                    bytes,
+                    ranges: OnceCell::new(),
+                    was_resident: false,
+                }
+            }
+        };
+        Ok(cell.get_or_init(|| loaded))
     }
 
     /// One Capsule's decompressed payload.
@@ -183,7 +185,7 @@ impl<'a> Payloads<'a> {
 
     /// The byte range of each row of a delimited Capsule's payload.
     pub(crate) fn row_ranges(&self, id: u32) -> Result<&[(usize, usize)]> {
-        let Loaded { bytes, ranges } = self.load(id)?;
+        let Loaded { bytes, ranges, .. } = self.load(id)?;
         if let Some(ranges) = ranges.get() {
             return Ok(ranges);
         }
@@ -221,13 +223,18 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Moves the statistics out, with the decompression counts read off
-    /// the payload table (one entry per Capsule decompressed).
+    /// Moves the statistics out, with the Capsule counts read off the
+    /// payload table (one entry per Capsule the query touched).
     pub(crate) fn take_stats(&mut self) -> QueryStats {
         let mut stats = std::mem::take(&mut self.stats);
         for loaded in self.payloads.cells.iter().filter_map(OnceCell::get) {
-            stats.capsules_decompressed += 1;
-            stats.bytes_decompressed += loaded.bytes.len() as u64;
+            let (capsules, bytes) = if loaded.was_resident {
+                (&mut stats.capsules_resident, &mut stats.bytes_resident)
+            } else {
+                (&mut stats.capsules_decompressed, &mut stats.bytes_decompressed)
+            };
+            *capsules += 1;
+            *bytes += loaded.bytes.len() as u64;
         }
         stats
     }

@@ -112,6 +112,7 @@ impl Explanation {
             actual_groups_skipped: stats.groups_skipped,
             predicted_scan_capsules,
             actual_capsules_decompressed: stats.capsules_decompressed,
+            actual_capsules_resident: stats.capsules_resident,
             predicted_stamp_rejections,
             actual_stamp_rejections: stats.stamp_rejections,
             capsules_total: stats.capsules_total as usize,
@@ -125,8 +126,9 @@ impl Explanation {
 ///
 /// Both sides count off the same Locator tree, so group skips and stamp
 /// rejections are *equal* unless the execution was partial, when actuals
-/// are at most the predictions. Decompression is bounded only while nothing
-/// is reconstructed: rendering rows (hits, wildcard candidates, a planner
+/// are at most the predictions. Capsules touched (decompressed, or found
+/// resident from an earlier query) are bounded only while nothing is
+/// reconstructed: rendering rows (hits, wildcard candidates, a planner
 /// overflow) opens Capsules the locating plan never touches.
 #[derive(Debug, Clone, Default)]
 pub struct PlanDrift {
@@ -139,6 +141,9 @@ pub struct PlanDrift {
     pub predicted_scan_capsules: usize,
     /// Capsules actually decompressed, including row reconstruction.
     pub actual_capsules_decompressed: usize,
+    /// Capsules used without decompression because an earlier query left
+    /// them resident; the plan's bound is on decompressed + resident.
+    pub actual_capsules_resident: usize,
     /// Requirements the Locator saw stamps reject.
     pub predicted_stamp_rejections: usize,
     /// Requirements stamps rejected during execution.
@@ -158,10 +163,17 @@ impl PlanDrift {
         self.actual_groups_skipped += other.actual_groups_skipped;
         self.predicted_scan_capsules += other.predicted_scan_capsules;
         self.actual_capsules_decompressed += other.actual_capsules_decompressed;
+        self.actual_capsules_resident += other.actual_capsules_resident;
         self.predicted_stamp_rejections += other.predicted_stamp_rejections;
         self.actual_stamp_rejections += other.actual_stamp_rejections;
         self.capsules_total += other.capsules_total;
         self.partial |= other.partial;
+    }
+
+    /// Capsules the execution read: decompressed plus found resident. This,
+    /// not the decompression count, is what `predicted_scan_capsules` bounds.
+    pub fn capsules_touched(&self) -> usize {
+        self.actual_capsules_decompressed + self.actual_capsules_resident
     }
 
     /// True when the execution ran the plan: skips and stamp rejections
@@ -197,8 +209,11 @@ impl fmt::Display for PlanDrift {
         };
         writeln!(
             f,
-            "  capsules          scan-bound {:<5} decompressed {}{total}",
-            self.predicted_scan_capsules, self.actual_capsules_decompressed
+            "  capsules          scan-bound {:<5} touched {}{total}: {} decompressed, {} resident",
+            self.predicted_scan_capsules,
+            self.capsules_touched(),
+            self.actual_capsules_decompressed,
+            self.actual_capsules_resident
         )?;
         writeln!(
             f,

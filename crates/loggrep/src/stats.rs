@@ -127,6 +127,12 @@ pub struct QueryStats {
     pub capsules_decompressed: usize,
     /// Decompressed bytes.
     pub bytes_decompressed: u64,
+    /// Capsules the query used without decompressing them, because an
+    /// earlier query on the same open archive left them resident. Touched
+    /// Capsules = `capsules_decompressed + capsules_resident`.
+    pub capsules_resident: usize,
+    /// Payload bytes of the resident Capsules used.
+    pub bytes_resident: u64,
     /// Capsule requirements rejected by stamps without decompression.
     pub stamp_rejections: usize,
     /// Groups whose static pattern pre-check failed (skipped entirely).
@@ -180,6 +186,8 @@ impl QueryStats {
             capsules_total: 0,
             capsules_decompressed: snap.counter("query.capsules_decompressed") as usize,
             bytes_decompressed: snap.counter("query.bytes_decompressed"),
+            capsules_resident: snap.counter("query.resident.hits") as usize,
+            bytes_resident: snap.counter("query.resident.bytes"),
             stamp_rejections: snap.counter("query.stamp_rejections") as usize,
             groups_skipped: snap.counter("query.groups_skipped") as usize,
             rows_verified: snap.counter("query.rows_verified") as usize,

@@ -146,32 +146,33 @@ fn whole_line_and_boundary_keywords() {
     );
 }
 
-/// The decompression arena recycles payload buffers: a query parks its
-/// decompressed Capsules on the archive, repeat queries (and the
-/// full-reconstruction path) reuse that storage, and results are identical
-/// either way.
+/// A query leaves its decompressed Capsules resident on the archive: repeat
+/// queries (and the full-reconstruction path) read them from there, and
+/// results are identical either way.
 #[test]
-fn arena_recycles_buffers_across_queries() {
+fn capsules_stay_resident_across_queries() {
     let mut raw = Vec::new();
     for i in 0..500 {
         raw.extend_from_slice(format!("job {} state S{} took {}ms\n", i, i % 7, i * 3 % 97).as_bytes());
     }
     let engine = LogGrep::new(LogGrepConfig::default());
     let archive = engine.compress_to_archive(&raw).unwrap();
-    assert_eq!(archive.arena_buffers(), 0, "arena starts empty");
+    assert_eq!(archive.resident_bytes(), 0, "table starts empty");
 
     let first = archive.query("S3").unwrap();
     assert_eq!(first.lines, oracle(&raw, "S3"));
-    let parked = archive.arena_buffers();
-    assert!(parked > 0, "query should park its payload buffers");
+    let kept = archive.resident_bytes();
+    assert!(kept > 0, "query should leave its payloads resident");
+    assert!(kept as u64 >= first.stats.bytes_decompressed);
 
     archive.clear_caches();
+    assert_eq!(archive.resident_bytes(), 0, "clear_caches empties the table");
     let second = archive.query("S3").unwrap();
     assert_eq!(first.lines, second.lines);
-    assert!(archive.arena_buffers() >= parked, "repeat query must recycle, not leak");
+    assert_eq!(archive.resident_bytes(), kept, "payloads must round-trip, not leak");
 
-    // The full-decompress path shares the same arena.
+    // The full-decompress path shares the same table.
     let all = archive.reconstruct_all().unwrap();
     assert_eq!(all.len(), 500);
-    assert!(archive.arena_buffers() >= parked);
+    assert!(archive.resident_bytes() >= kept);
 }

@@ -28,7 +28,8 @@ fn main() {
     );
 
     // The refining session: each command builds on the previous one. The
-    // engine caches per-command results, so re-evaluated prefixes are free.
+    // open archive keeps what a command decompressed resident, so the next
+    // command decompresses only the Capsules no earlier one touched.
     let session = [
         "ERROR",
         "ERROR and state:REQ_ST_CLOSED",
@@ -40,11 +41,12 @@ fn main() {
         let result = archive.query(command).expect("valid query");
         println!("engineer> {command}");
         println!(
-            "  {} hit(s) in {:?}  [decompressed {} capsule(s) / {} KiB, cache {}]",
+            "  {} hit(s) in {:?}  [decompressed {} capsule(s) / {} KiB, {} resident, cache {}]",
             result.lines.len(),
             t.elapsed(),
             result.stats.capsules_decompressed,
             result.stats.bytes_decompressed / 1024,
+            result.stats.capsules_resident,
             if result.stats.cache_hit { "hit" } else { "miss" }
         );
         if let Some(line) = result.lines_utf8().first() {
