@@ -1,0 +1,104 @@
+//! `stat <archive.lgb>` and `explain <archive.lgb> <command>`.
+
+use crate::human;
+use loggrep::BlockFile;
+
+pub(crate) fn explain_file(path: &str, command: &str) -> Result<(), String> {
+    let file = BlockFile::open(path).map_err(|e| e.to_string())?;
+    for (i, archive) in file.blocks().iter().enumerate() {
+        println!("-- block {i} --");
+        print!("{}", archive.explain(command).map_err(|e| e.to_string())?);
+    }
+    Ok(())
+}
+
+pub(crate) fn stat_file(path: &str, json: bool) -> Result<(), String> {
+    let file = BlockFile::open(path).map_err(|e| e.to_string())?;
+    let stored = std::fs::metadata(path)
+        .map_err(|e| format!("stat {path}: {e}"))?
+        .len();
+    print!("{}", stat_report(&file, stored, json));
+    Ok(())
+}
+
+/// Renders the statistics of an archive that takes `stored` bytes on disk,
+/// as aligned text or a JSON object.
+fn stat_report(file: &BlockFile, stored: u64, json: bool) -> String {
+    let archives = file.blocks();
+    let mut lines = 0u64;
+    let mut raw = 0u64;
+    let mut groups = 0usize;
+    let mut capsules = 0usize;
+    // Pow2-bucket histogram over compressed capsule sizes, so stat reports
+    // the same p50/p95/p99 summaries the live `/metrics` endpoint serves.
+    let sizes = telemetry::Histogram::new();
+    for a in archives {
+        let b = a.capsule_box();
+        lines += b.total_lines as u64;
+        raw += b.raw_size;
+        groups += b.groups.len();
+        capsules += b.capsules.len();
+        for c in &b.capsules {
+            sizes.record(c.clen);
+        }
+    }
+    let sizes = sizes.snapshot();
+    let ratio = raw as f64 / stored.max(1) as f64;
+    if json {
+        return format!(
+            "{{\n  \"blocks\": {},\n  \"lines\": {lines},\n  \"raw_bytes\": {raw},\n  \
+             \"stored_bytes\": {stored},\n  \"ratio\": {ratio:.4},\n  \"groups\": {groups},\n  \
+             \"capsules\": {capsules},\n  \"capsule_bytes\": {{\"p50\": {}, \"p95\": {}, \
+             \"p99\": {}, \"max\": {}}}\n}}\n",
+            archives.len(),
+            sizes.quantile(0.5),
+            sizes.quantile(0.95),
+            sizes.quantile(0.99),
+            sizes.max,
+        );
+    }
+    let mut out = String::new();
+    out.push_str(&format!("blocks:        {}\n", archives.len()));
+    out.push_str(&format!("lines:         {lines}\n"));
+    out.push_str(&format!("raw size:      {}\n", human(raw)));
+    out.push_str(&format!("stored size:   {}\n", human(stored)));
+    out.push_str(&format!("ratio:         {ratio:.2}x\n"));
+    out.push_str(&format!("groups:        {groups}\n"));
+    out.push_str(&format!("capsules:      {capsules}\n"));
+    out.push_str(&format!(
+        "capsule bytes: p50={} p95={} p99={} max={}\n",
+        sizes.quantile(0.5),
+        sizes.quantile(0.95),
+        sizes.quantile(0.99),
+        sizes.max,
+    ));
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use loggrep::{LogGrep, LogGrepConfig};
+
+    #[test]
+    fn stat_report_text_and_json() {
+        let spec = workloads::by_name("Log C").unwrap();
+        let engine = LogGrep::new(LogGrepConfig::default());
+        let raw = spec.generate(3, 64 * 1024);
+        let file = BlockFile::compress(&engine, &raw, raw.len()).unwrap();
+        let stored = file.to_bytes().len() as u64;
+        let text = stat_report(&file, stored, false);
+        assert!(text.contains("blocks:        1"), "{text}");
+        assert!(text.contains("ratio:"), "{text}");
+        let json = stat_report(&file, stored, true);
+        assert!(json.contains("\"blocks\": 1"), "{json}");
+        for key in [
+            "lines", "raw_bytes", "stored_bytes", "ratio", "groups", "capsules",
+            "capsule_bytes", "p50", "p95", "p99",
+        ] {
+            assert!(json.contains(&format!("\"{key}\"")), "missing {key} in {json}");
+        }
+        assert!(text.contains("capsule bytes: p50="), "{text}");
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+}

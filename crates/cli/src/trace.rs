@@ -1,0 +1,90 @@
+//! `trace <archive.lgb> <command>` and `serve-metrics <addr>`.
+
+use loggrep::BlockFile;
+
+/// `trace <archive.lgb> <command> [--out FILE] [--collapsed FILE]`: runs
+/// the query with the trace journal on and writes the Chrome trace-event
+/// JSON to `--out` (stdout when omitted). `--collapsed` additionally writes
+/// flamegraph-collapsed stacks built from the journal's exact timings.
+pub(crate) fn trace_cmd(args: &[String]) -> Result<(), String> {
+    const USAGE: &str = "trace <archive.lgb> <command> [--out FILE] [--collapsed FILE]";
+    let mut positional: Vec<&str> = Vec::new();
+    let mut out_file: Option<&str> = None;
+    let mut collapsed_file: Option<&str> = None;
+    let mut iter = args.iter();
+    while let Some(a) = iter.next() {
+        match a.as_str() {
+            "--out" => {
+                out_file = Some(iter.next().ok_or("--out needs a file argument")?);
+            }
+            "--collapsed" => {
+                collapsed_file = Some(iter.next().ok_or("--collapsed needs a file argument")?);
+            }
+            other => positional.push(other),
+        }
+    }
+    let [archive_path, command] = positional[..] else {
+        return Err(format!("expected arguments: {USAGE}"));
+    };
+
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    telemetry::set_journal_enabled(true);
+    telemetry::clear_journal();
+    let file = BlockFile::open(archive_path).map_err(|e| e.to_string())?;
+    let mut total = 0usize;
+    for archive in file.blocks() {
+        total = total.saturating_add(
+            archive.query(command).map_err(|e| e.to_string())?.lines.len(),
+        );
+    }
+
+    let events = telemetry::journal_events();
+    let chrome = telemetry::export_chrome_trace(&events);
+    match out_file {
+        Some(path) => {
+            std::fs::write(path, chrome).map_err(|e| format!("write {path}: {e}"))?;
+            eprintln!("trace journal: {} event(s) -> {path}", events.len());
+        }
+        None => print!("{chrome}"),
+    }
+    if let Some(path) = collapsed_file {
+        std::fs::write(path, telemetry::export_collapsed(&events))
+            .map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!("collapsed stacks -> {path}");
+    }
+    eprintln!("({total} matching line(s))");
+    Ok(())
+}
+
+/// `serve-metrics <addr> [seconds]`: binds the std-only HTTP exporter and
+/// serves `/metrics`, `/healthz`, and `/trace/last.json` until killed (or
+/// for `seconds`, mainly for scripted smoke tests). Telemetry and the trace
+/// journal are enabled so the endpoints have live data.
+pub(crate) fn serve_metrics_cmd(args: &[String]) -> Result<(), String> {
+    let (addr, secs) = match args {
+        [addr] => (addr.as_str(), None),
+        [addr, secs] => (
+            addr.as_str(),
+            Some(
+                secs.parse::<u64>()
+                    .map_err(|_| format!("bad duration `{secs}`"))?,
+            ),
+        ),
+        _ => return Err("expected arguments: serve-metrics <addr> [seconds]".to_string()),
+    };
+    telemetry::set_enabled(true);
+    telemetry::set_journal_enabled(true);
+    let server = telemetry::MetricsServer::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    println!(
+        "serving /metrics /healthz /trace/last.json on http://{}",
+        server.local_addr()
+    );
+    match secs {
+        Some(s) => std::thread::sleep(std::time::Duration::from_secs(s)),
+        None => loop {
+            std::thread::sleep(std::time::Duration::from_secs(3600));
+        },
+    }
+    Ok(())
+}

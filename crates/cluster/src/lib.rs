@@ -198,7 +198,6 @@ pub struct Cluster {
     net: SimNet,
     nodes: Vec<Node>,
     engine: LogGrep,
-    pool: pool::Pool,
     queues: Vec<pool::BoundedQueue<usize>>,
     /// Committed blocks per shard, in block order.
     blocks_by_shard: BTreeMap<usize, Vec<usize>>,
@@ -247,7 +246,6 @@ impl Cluster {
             net,
             nodes,
             engine,
-            pool: pool::Pool::from_env(),
             queues,
             blocks_by_shard: BTreeMap::new(),
             next_block: 0,
@@ -324,15 +322,20 @@ impl Cluster {
     ///   is exactly as before the call.
     pub fn ingest(&mut self, raw: &[u8], block_bytes: usize) -> Result<usize, ClusterError> {
         let _span = telemetry::span("cluster/ingest");
-        let blocks = loggrep::split_blocks(raw, block_bytes);
-        let n = blocks.len();
+        // The engine owns the block split and the one worker pool:
+        // order-preserving and byte-identical to serial.
+        let boxes = self
+            .engine
+            .compress_blocks(raw, block_bytes)
+            .map_err(|e| ClusterError::Ingest(e.to_string()))?;
+        let n = boxes.len();
         if n == 0 {
             return Ok(0);
         }
         let first = self.next_block;
 
         // Admission control: every replica write must fit its node's
-        // bounded queue, or the whole batch is rejected up front.
+        // bounded queue, or the whole batch is rejected, no replica touched.
         let mut admitted: Vec<NodeId> = Vec::with_capacity(n * self.map.replication());
         for i in 0..n {
             let shard = self.map.shard_of_block(first + i);
@@ -356,28 +359,10 @@ impl Cluster {
         ingest_queue_gauge().set(admitted.len() as i64);
         telemetry::counter!("cluster.blocks_ingested", n as u64);
 
-        // Parallel compression on the shared worker pool, order-preserving
-        // and byte-identical to serial.
-        let engine = &self.engine;
-        let compressed: Result<Vec<Vec<u8>>, String> = self
-            .pool
-            .try_map(&blocks, |_, block| {
-                engine
-                    .compress(block)
-                    .map(|boxed| boxed.to_bytes())
-                    .map_err(|e| e.to_string())
-            });
-        let compressed = match compressed {
-            Ok(c) => c,
-            Err(e) => {
-                self.drain_queues();
-                return Err(ClusterError::Ingest(e));
-            }
-        };
-
         // Replicated two-phase write: stage on every replica, then commit.
         let mut committed: Vec<usize> = Vec::with_capacity(n);
-        for (i, bytes) in compressed.iter().enumerate() {
+        for (i, boxed) in boxes.iter().enumerate() {
+            let bytes = &boxed.to_bytes();
             let block_no = first + i;
             let shard = self.map.shard_of_block(block_no);
             let replicas = self.map.replicas(shard);

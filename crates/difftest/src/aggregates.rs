@@ -50,8 +50,6 @@ pub struct Outcome {
 /// Running totals across cases, for the deterministic summary line.
 #[derive(Debug, Default)]
 pub struct Summary {
-    /// Cases actually run.
-    pub cases: u64,
     /// Cases that carried a filter query.
     pub filtered: u64,
     /// Cases per verb.
@@ -60,21 +58,15 @@ pub struct Summary {
     pub layers: BTreeMap<&'static str, u64>,
     /// Total decompression-bound checks enforced.
     pub decompression_checks: u64,
-    /// `(case index, description)` for every disagreement.
-    pub disagreements: Vec<(u64, String)>,
 }
 
 impl Summary {
     /// Folds one case's outcome into the totals.
-    pub fn absorb(&mut self, case: u64, outcome: &Outcome) {
-        self.cases += 1;
+    pub fn absorb(&mut self, outcome: &Outcome) {
         self.filtered += u64::from(outcome.filtered);
         *self.verbs.entry(outcome.verb).or_insert(0) += 1;
         *self.layers.entry(outcome.layer).or_insert(0) += 1;
         self.decompression_checks += outcome.decompression_checks;
-        if let Some(d) = &outcome.disagreement {
-            self.disagreements.push((case, d.clone()));
-        }
     }
 }
 

@@ -124,132 +124,181 @@ fn parse_args() -> Args {
     args
 }
 
-/// The `--cluster-faults` mode: seeded fault schedules against the
-/// replicated cluster, checked against the oracle's partial-results
-/// contract. Stdout is deterministic for a given seed and case count.
-fn run_cluster_faults(args: &Args) -> ! {
+/// The one mode driver: the case loop with its `--budget-secs` cut-off, the
+/// summary line, the `--bench-out` JSON and the exit code. `label` follows
+/// `difftest` in the summary line, `bench` names the JSON, `failures` is
+/// what both call a failed case, `throughput` says whether the JSON carries
+/// `cases_per_sec`. `run_case` runs one case into `state`, prints its
+/// failure if any and returns whether it failed; `finish` gives the middle
+/// of the summary line and the JSON fields between `cases` and the failure
+/// count. Stdout is deterministic for a given seed and case count.
+fn drive<S>(
+    args: &Args,
+    [label, bench, failures]: [&str; 3],
+    throughput: bool,
+    mut state: S,
+    mut run_case: impl FnMut(&mut S, u64) -> bool,
+    finish: impl FnOnce(&S) -> (String, Vec<(&'static str, u64)>),
+) -> ! {
     let start = Instant::now();
-    let mut summary = difftest::cluster_faults::Summary::default();
-    let mut truncated = false;
+    let (mut cases_run, mut failed) = (0u64, 0u64);
     for case in 0..args.cases {
-        if let Some(budget) = args.budget_secs {
-            if start.elapsed().as_secs() >= budget {
-                truncated = true;
-                break;
-            }
+        if args.budget_secs.is_some_and(|budget| start.elapsed().as_secs() >= budget) {
+            println!(
+                "difftest: stopped at the wall-clock budget after {cases_run} of {} cases",
+                args.cases
+            );
+            break;
         }
-        let outcome = difftest::cluster_faults::run_case(args.seed, case);
-        if let Some(d) = &outcome.disagreement {
-            println!("case {case}: FAIL {d}");
-        }
-        summary.absorb(case, &outcome);
+        cases_run += 1;
+        failed += u64::from(run_case(&mut state, case));
     }
-    if truncated {
-        println!(
-            "difftest: stopped at the wall-clock budget after {} of {} cases",
-            summary.cases, args.cases
-        );
-    }
+    let (middle, fields) = finish(&state);
     println!(
-        "difftest cluster-faults: seed={} cases={} faults_injected={} fallbacks={} retries={} ingests_aborted={} partials={} disagreements={}",
-        args.seed,
-        summary.cases,
-        summary.faults_injected,
-        summary.fallbacks,
-        summary.retries,
-        summary.ingests_aborted,
-        summary.partials,
-        summary.disagreements.len(),
+        "difftest{label}: seed={} cases={cases_run} {middle} {failures}={failed}",
+        args.seed
     );
     if let Some(out) = &args.bench_out {
         let elapsed = start.elapsed().as_secs_f64();
-        let mut json = String::new();
-        let _ = write!(
-            json,
-            "{{\n  \"bench\": \"cluster_faults\",\n  \"seed\": {},\n  \"cases\": {},\n  \"faults_injected\": {},\n  \"fallbacks\": {},\n  \"retries\": {},\n  \"ingests_aborted\": {},\n  \"partials\": {},\n  \"disagreements\": {},\n  \"elapsed_secs\": {elapsed:.3}\n}}\n",
-            args.seed,
-            summary.cases,
-            summary.faults_injected,
-            summary.fallbacks,
-            summary.retries,
-            summary.ingests_aborted,
-            summary.partials,
-            summary.disagreements.len(),
+        let mut json = format!(
+            "{{\n  \"bench\": \"{bench}\",\n  \"seed\": {},\n  \"cases\": {cases_run}",
+            args.seed
         );
+        for (key, value) in fields.into_iter().chain([(failures, failed)]) {
+            let _ = write!(json, ",\n  \"{key}\": {value}");
+        }
+        let _ = write!(json, ",\n  \"elapsed_secs\": {elapsed:.3}");
+        if throughput {
+            let rate = if elapsed > 0.0 { cases_run as f64 / elapsed } else { 0.0 };
+            let _ = write!(json, ",\n  \"cases_per_sec\": {rate:.2}");
+        }
+        json.push_str("\n}\n");
         if let Err(e) = std::fs::write(out, json) {
             eprintln!("cannot write {out}: {e}");
         }
     }
-    std::process::exit(if summary.disagreements.is_empty() { 0 } else { 1 });
+    std::process::exit(i32::from(failed > 0));
+}
+
+/// Prints a case's disagreement, if any; returns whether there was one.
+fn report(case: u64, disagreement: &Option<String>) -> bool {
+    if let Some(d) = disagreement {
+        println!("case {case}: FAIL {d}");
+    }
+    disagreement.is_some()
+}
+
+/// The `--cluster-faults` mode: seeded fault schedules against the
+/// replicated cluster, checked against the oracle's partial-results
+/// contract (see [`difftest::cluster_faults`]).
+fn run_cluster_faults(args: &Args) -> ! {
+    drive(
+        args,
+        [" cluster-faults", "cluster_faults", "disagreements"],
+        false,
+        difftest::cluster_faults::Summary::default(),
+        |summary, case| {
+            let outcome = difftest::cluster_faults::run_case(args.seed, case);
+            summary.absorb(case, &outcome);
+            report(case, &outcome.disagreement)
+        },
+        |s| {
+            let fields = vec![
+                ("faults_injected", s.faults_injected),
+                ("fallbacks", s.fallbacks),
+                ("retries", s.retries),
+                ("ingests_aborted", s.ingests_aborted),
+                ("partials", s.partials),
+            ];
+            let middle: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            (middle.join(" "), fields)
+        },
+    )
 }
 
 /// The `--aggregates` mode: aggregate verbs over generated logs, every
 /// engine config, against the naive raw-line oracle
-/// (see [`difftest::aggregates`]). Stdout is deterministic for a given
-/// seed and case count.
+/// (see [`difftest::aggregates`]).
 fn run_aggregates(args: &Args) -> ! {
-    let start = Instant::now();
-    let mut summary = difftest::aggregates::Summary::default();
-    let mut truncated = false;
-    for case in 0..args.cases {
-        if let Some(budget) = args.budget_secs {
-            if start.elapsed().as_secs() >= budget {
-                truncated = true;
-                break;
-            }
-        }
-        let outcome = difftest::aggregates::run_case(args.seed, case, &args.threads);
-        if let Some(d) = &outcome.disagreement {
-            println!("case {case}: FAIL {d}");
-        }
-        summary.absorb(case, &outcome);
-    }
-    if truncated {
-        println!(
-            "difftest: stopped at the wall-clock budget after {} of {} cases",
-            summary.cases, args.cases
+    drive(
+        args,
+        [" aggregates", "aggregates", "disagreements"],
+        true,
+        difftest::aggregates::Summary::default(),
+        |summary, case| {
+            let outcome = difftest::aggregates::run_case(args.seed, case, &args.threads);
+            summary.absorb(&outcome);
+            report(case, &outcome.disagreement)
+        },
+        |s| {
+            let join = |m: &std::collections::BTreeMap<&str, u64>| {
+                m.iter()
+                    .map(|(k, v)| format!("{k}={v}"))
+                    .collect::<Vec<_>>()
+                    .join(",")
+            };
+            let middle = format!(
+                "engines={} threads={:?} filtered={} verbs[{}] layers[{}] decompression_checks={}",
+                difftest::harness::engine_matrix().len(),
+                args.threads,
+                s.filtered,
+                join(&s.verbs),
+                join(&s.layers),
+                s.decompression_checks,
+            );
+            let fields = vec![
+                ("filtered", s.filtered),
+                ("decompression_checks", s.decompression_checks),
+            ];
+            (middle, fields)
+        },
+    )
+}
+
+/// The default mode: generated logs and queries through the whole engine
+/// matrix (and the baselines) against the naive oracle; failures are
+/// shrunk and saved as replayable corpus files.
+fn run_queries(args: &Args, harness: &Harness) -> ! {
+    let run_case = |(): &mut (), i: u64| {
+        let mut rng = StdRng::seed_from_u64(case_seed(args.seed, i));
+        let blocks = genlog::generate_blocks(&mut rng);
+        let lines: Vec<Vec<u8>> = blocks.iter().flatten().cloned().collect();
+        let ast = QueryAst::generate(&mut rng, &lines);
+        let case = Case::new(&ast, blocks);
+
+        let Err(failure) = harness.check(&case) else {
+            return false;
+        };
+        println!("case {i}: FAIL {failure}");
+
+        let engine = failure.engine.clone();
+        let mut named = shrink::minimize(
+            &case,
+            |c| harness.check_filtered(c, Some(&engine)).is_err(),
+            shrink::DEFAULT_BUDGET,
         );
-    }
-    let join = |m: &std::collections::BTreeMap<&str, u64>| {
-        m.iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",")
+        named.note = format!("seed {} case {i}: {failure}", args.seed);
+        let name = format!("fail-s{}-c{i}", args.seed);
+        match named.save(&args.corpus_dir, &name) {
+            Ok(path) => println!(
+                "case {i}: shrunk to {} lines, query `{}`; saved {}",
+                named.total_lines(),
+                named.query,
+                path.display()
+            ),
+            Err(e) => println!("case {i}: could not save corpus file: {e}"),
+        }
+        true
     };
-    println!(
-        "difftest aggregates: seed={} cases={} engines={} threads={:?} filtered={} verbs[{}] layers[{}] decompression_checks={} disagreements={}",
-        args.seed,
-        summary.cases,
-        difftest::harness::engine_matrix().len(),
-        args.threads,
-        summary.filtered,
-        join(&summary.verbs),
-        join(&summary.layers),
-        summary.decompression_checks,
-        summary.disagreements.len(),
-    );
-    if let Some(out) = &args.bench_out {
-        let elapsed = start.elapsed().as_secs_f64();
-        let mut json = String::new();
-        let _ = write!(
-            json,
-            "{{\n  \"bench\": \"aggregates\",\n  \"seed\": {},\n  \"cases\": {},\n  \"filtered\": {},\n  \"decompression_checks\": {},\n  \"disagreements\": {},\n  \"elapsed_secs\": {elapsed:.3},\n  \"cases_per_sec\": {:.2}\n}}\n",
-            args.seed,
-            summary.cases,
-            summary.filtered,
-            summary.decompression_checks,
-            summary.disagreements.len(),
-            if elapsed > 0.0 {
-                summary.cases as f64 / elapsed
-            } else {
-                0.0
-            },
+    drive(args, ["", "difftest", "failures"], true, (), run_case, |()| {
+        let middle = format!(
+            "engines={} threads={:?} baselines={}",
+            difftest::harness::engine_matrix().len(),
+            args.threads,
+            args.with_baselines,
         );
-        if let Err(e) = std::fs::write(out, json) {
-            eprintln!("cannot write {out}: {e}");
-        }
-    }
-    std::process::exit(if summary.disagreements.is_empty() { 0 } else { 1 });
+        (middle, Vec::new())
+    })
 }
 
 fn main() {
@@ -284,81 +333,5 @@ fn main() {
         }
         return;
     }
-
-    let start = Instant::now();
-    let mut failures = 0u64;
-    let mut cases_run = 0u64;
-    let mut truncated = false;
-
-    for i in 0..args.cases {
-        if let Some(budget) = args.budget_secs {
-            if start.elapsed().as_secs() >= budget {
-                truncated = true;
-                break;
-            }
-        }
-        cases_run += 1;
-        let mut rng = StdRng::seed_from_u64(case_seed(args.seed, i));
-        let blocks = genlog::generate_blocks(&mut rng);
-        let lines: Vec<Vec<u8>> = blocks.iter().flatten().cloned().collect();
-        let ast = QueryAst::generate(&mut rng, &lines);
-        let case = Case::new(&ast, blocks);
-
-        let Err(failure) = harness.check(&case) else {
-            continue;
-        };
-        failures += 1;
-        println!("case {i}: FAIL {failure}");
-
-        let engine = failure.engine.clone();
-        let shrunk = shrink::minimize(
-            &case,
-            |c| harness.check_filtered(c, Some(&engine)).is_err(),
-            shrink::DEFAULT_BUDGET,
-        );
-        let mut named = shrunk;
-        named.note = format!("seed {} case {i}: {failure}", args.seed);
-        let name = format!("fail-s{}-c{i}", args.seed);
-        match named.save(&args.corpus_dir, &name) {
-            Ok(path) => println!(
-                "case {i}: shrunk to {} lines, query `{}`; saved {}",
-                named.total_lines(),
-                named.query,
-                path.display()
-            ),
-            Err(e) => println!("case {i}: could not save corpus file: {e}"),
-        }
-    }
-
-    if truncated {
-        println!(
-            "difftest: stopped at the wall-clock budget after {cases_run} of {} cases",
-            args.cases
-        );
-    }
-    println!(
-        "difftest: seed={} cases={cases_run} engines={} threads={:?} baselines={} failures={failures}",
-        args.seed,
-        difftest::harness::engine_matrix().len(),
-        args.threads,
-        args.with_baselines,
-    );
-
-    if let Some(out) = &args.bench_out {
-        let elapsed = start.elapsed().as_secs_f64();
-        let mut json = String::new();
-        let _ = write!(
-            json,
-            "{{\n  \"bench\": \"difftest\",\n  \"seed\": {},\n  \"cases\": {cases_run},\n  \"failures\": {failures},\n  \"elapsed_secs\": {elapsed:.3},\n  \"cases_per_sec\": {:.2}\n}}\n",
-            args.seed,
-            if elapsed > 0.0 { cases_run as f64 / elapsed } else { 0.0 },
-        );
-        if let Err(e) = std::fs::write(out, json) {
-            eprintln!("cannot write {out}: {e}");
-        }
-    }
-
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    run_queries(&args, &harness)
 }

@@ -1,7 +1,7 @@
 //! Satellite: `QueryCache` LRU bounds under the harness.
 //!
 //! Repeated randomized queries against one archive must never grow the
-//! cache past `query_cache_entries`, and a cache-hit result must be
+//! cache past `Archive::set_query_cache_entries`, and a cache-hit result must be
 //! byte-identical to the cold result of the same query.
 
 use difftest::genlog;
@@ -19,20 +19,14 @@ fn lru_bound_holds_under_randomized_queries() {
     let lines: Vec<Vec<u8>> = blocks.iter().flatten().cloned().collect();
     let raw = block_bytes(&lines);
 
-    let config = LogGrepConfig {
-        query_cache_entries: CAP,
-        ..LogGrepConfig::default()
-    };
-    let engine = LogGrep::new(config);
-    let archive = engine.compress_to_archive(&raw).expect("clean input");
+    let engine = LogGrep::new(LogGrepConfig::default());
+    let mut archive = engine.compress_to_archive(&raw).expect("clean input");
+    archive.set_query_cache_entries(CAP);
 
     // A disabled-cache twin provides the always-cold reference.
-    let cold_config = LogGrepConfig {
-        query_cache_entries: CAP,
-        ..LogGrepConfig::without_cache()
-    };
-    let cold_engine = LogGrep::new(cold_config);
-    let cold_archive = cold_engine.compress_to_archive(&raw).expect("clean input");
+    let cold_engine = LogGrep::new(LogGrepConfig::without_cache());
+    let mut cold_archive = cold_engine.compress_to_archive(&raw).expect("clean input");
+    cold_archive.set_query_cache_entries(CAP);
 
     let mut distinct = std::collections::HashSet::new();
     for i in 0..60u64 {
@@ -81,12 +75,9 @@ fn unbounded_cache_still_replays_identically() {
     let blocks = genlog::generate_blocks(&mut rng);
     let lines: Vec<Vec<u8>> = blocks.iter().flatten().cloned().collect();
     let raw = block_bytes(&lines);
-    let config = LogGrepConfig {
-        query_cache_entries: 0, // Unbounded.
-        ..LogGrepConfig::default()
-    };
-    let engine = LogGrep::new(config);
-    let archive = engine.compress_to_archive(&raw).expect("clean input");
+    let engine = LogGrep::new(LogGrepConfig::default());
+    let mut archive = engine.compress_to_archive(&raw).expect("clean input");
+    archive.set_query_cache_entries(0); // Unbounded.
     for i in 0..10u64 {
         let mut qrng = StdRng::seed_from_u64(i);
         let text = QueryAst::generate(&mut qrng, &lines).render();

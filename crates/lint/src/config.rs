@@ -12,13 +12,16 @@ use crate::rules::ScopeSpec;
 pub const DESIGNATED: &[(&str, ScopeSpec)] = &[
     ("crates/loggrep/src/wire.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/boxfile.rs", ScopeSpec::WholeFile),
+    ("crates/loggrep/src/blockfile.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/capsule.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/vector.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/pattern.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/query/exec.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/query/locate.rs", ScopeSpec::WholeFile),
     ("crates/loggrep/src/query/render.rs", ScopeSpec::WholeFile),
-    ("crates/cli/src/lib.rs", ScopeSpec::WholeFile),
+    ("crates/cli/src/query.rs", ScopeSpec::WholeFile),
+    ("crates/cli/src/stat.rs", ScopeSpec::WholeFile),
+    ("crates/cli/src/trace.rs", ScopeSpec::WholeFile),
     ("crates/strsearch/src/fixed.rs", ScopeSpec::WholeFile),
     (
         "crates/codec/src/lib.rs",

@@ -259,11 +259,9 @@ impl<'a> CapsuleView<'a> {
                 candidates
                     .into_iter()
                     .filter(|&r| {
-                        values.get(r).copied().is_some_and(|v| match mode {
-                            Mode::Contains => true,
-                            Mode::Prefix => v.starts_with(needle),
-                            Mode::Suffix => v.ends_with(needle),
-                            Mode::Exact => v == needle,
+                        // KMP already proved containment.
+                        values.get(r).copied().is_some_and(|v| {
+                            mode == Mode::Contains || mode.matches(v, needle)
                         })
                     })
                     .map(|r| r as u32)
@@ -283,12 +281,7 @@ impl<'a> CapsuleView<'a> {
             }
             CapsuleView::Delimited { values, .. } => (start..end.min(values.len() as u32))
                 .filter(|&r| {
-                    values.get(r as usize).copied().is_some_and(|v| match mode {
-                        Mode::Contains => strsearch::contains(v, needle),
-                        Mode::Prefix => v.starts_with(needle),
-                        Mode::Suffix => v.ends_with(needle),
-                        Mode::Exact => v == needle,
-                    })
+                    values.get(r as usize).copied().is_some_and(|v| mode.matches(v, needle))
                 })
                 .collect(),
             CapsuleView::Raw(_) => Vec::new(),

@@ -12,18 +12,9 @@ use logparse::ParserConfig;
 pub struct LogGrepConfig {
     /// Static-pattern parser configuration (5 % sampling by default).
     pub parser: ParserConfig,
-    /// Fraction of a variable vector sampled for runtime-pattern extraction.
-    pub value_sample_rate: f64,
-    /// Duplication-rate threshold separating real (<) from nominal (>=)
-    /// variable vectors (§4.1; paper uses 0.5).
-    pub duplication_threshold: f64,
     /// Fraction of sampled values that must contain a candidate delimiter
     /// for a tree split to be accepted (paper: 95 %).
     pub split_coverage: f64,
-    /// Delimiter attempts per leaf before marking it unsplitable (paper: 3).
-    pub delimiter_attempts: u32,
-    /// Maximum pattern-tree depth (bounds pattern size).
-    pub max_tree_depth: u32,
     /// Vectors smaller than this stay Plain: metadata would outweigh gains.
     pub min_vector_for_patterns: usize,
     /// If more than this fraction of values fail to match the extracted
@@ -54,20 +45,13 @@ pub struct LogGrepConfig {
     /// `available_parallelism`. Output is byte-identical for every value.
     /// Reads are serial per block and parallel across blocks.
     pub threads: usize,
-    /// Maximum entries the per-archive query cache holds before LRU
-    /// eviction; `0` means unbounded.
-    pub query_cache_entries: usize,
 }
 
 impl Default for LogGrepConfig {
     fn default() -> Self {
         Self {
             parser: ParserConfig::default(),
-            value_sample_rate: 0.05,
-            duplication_threshold: 0.5,
             split_coverage: 0.95,
-            delimiter_attempts: 3,
-            max_tree_depth: 8,
             min_vector_for_patterns: 16,
             max_outlier_rate: 0.3,
             use_runtime_real: true,
@@ -78,7 +62,6 @@ impl Default for LogGrepConfig {
             codec_name: "auto".to_string(),
             seed: 0x1095_5e23,
             threads: 0,
-            query_cache_entries: 256,
         }
     }
 }
@@ -141,19 +124,15 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let c = LogGrepConfig::default();
-        assert!((c.value_sample_rate - 0.05).abs() < 1e-9);
-        assert!((c.duplication_threshold - 0.5).abs() < 1e-9);
         assert!((c.split_coverage - 0.95).abs() < 1e-9);
-        assert_eq!(c.delimiter_attempts, 3);
         assert!(c.use_runtime_real && c.use_runtime_nominal);
         assert!(c.use_stamps && c.fixed_length && c.use_query_cache);
     }
 
     #[test]
-    fn parallelism_defaults_to_auto_with_bounded_cache() {
+    fn parallelism_defaults_to_auto() {
         let c = LogGrepConfig::default();
         assert_eq!(c.threads, 0); // 0 = LOGGREP_THREADS / available_parallelism.
-        assert!(c.query_cache_entries > 0);
     }
 
     #[test]

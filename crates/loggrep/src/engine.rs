@@ -246,19 +246,24 @@ impl LogGrep {
     /// Returns [`Error::UnsupportedByte`] if the input contains NUL (the
     /// reserved pad byte), or a codec error on internal failure.
     pub fn compress(&self, raw: &[u8]) -> Result<CapsuleBox> {
-        self.compress_block(raw).map(|(b, _)| b)
+        self.compress_block(raw, &Pool::new(self.config.threads)).map(|(b, _)| b)
     }
 
     /// Compresses and reports statistics. Measuring `compressed_size`
     /// serialises the box once, which [`LogGrep::compress`] does not pay.
     pub fn compress_with_stats(&self, raw: &[u8]) -> Result<(CapsuleBox, ArchiveStats)> {
-        let (boxed, mut stats) = self.compress_block(raw)?;
+        let (boxed, mut stats) = self.compress_block(raw, &Pool::new(self.config.threads))?;
         stats.compressed_size = boxed.compressed_size() as u64;
         Ok((boxed, stats))
     }
 
-    /// The write pipeline; leaves `compressed_size` unset.
-    fn compress_block(&self, raw: &[u8]) -> Result<(CapsuleBox, ArchiveStats)> {
+    /// The write pipeline for one block, fanning its parse / extract /
+    /// encode stages out over `pool`; leaves `compressed_size` unset.
+    pub(crate) fn compress_block(
+        &self,
+        raw: &[u8],
+        pool: &Pool,
+    ) -> Result<(CapsuleBox, ArchiveStats)> {
         if let Some(offset) = raw.iter().position(|&b| b == crate::PAD) {
             return Err(Error::UnsupportedByte { offset });
         }
@@ -266,7 +271,6 @@ impl LogGrep {
         let _compress_span = telemetry::span("compress");
         telemetry::counter!("compress.bytes_raw", raw.len() as u64);
         let lines: Vec<&[u8]> = split_lines(raw);
-        let pool = Pool::new(self.config.threads);
 
         // Parser: static patterns from a 5 % sample, then a full parse
         // fanned out over fixed-size line chunks. `merge_chunks`
@@ -342,7 +346,7 @@ impl LogGrep {
         drop(_assemble_span);
 
         // Packer: encode every Capsule across the pool, commit in order.
-        let (capsules, blob) = packer.finish(&pool);
+        let (capsules, blob) = packer.finish(pool);
 
         let boxed = CapsuleBox {
             groups,
@@ -369,7 +373,6 @@ impl LogGrep {
         let mut archive = Archive::from_box(boxed);
         archive.set_query_cache(self.config.use_query_cache);
         archive.set_stamps(self.config.use_stamps);
-        archive.set_query_cache_entries(self.config.query_cache_entries);
         archive
     }
 
@@ -503,43 +506,9 @@ pub fn split_lines(raw: &[u8]) -> Vec<&[u8]> {
     body.split(|&b| b == b'\n').collect()
 }
 
-/// Splits raw logs into blocks of about `block_bytes` (at least one byte)
-/// on line boundaries: every block but the last ends with a newline, so no
-/// line straddles two blocks. Empty input has no blocks.
-pub fn split_blocks(raw: &[u8], block_bytes: usize) -> Vec<&[u8]> {
-    let mut blocks = Vec::new();
-    let mut start = 0usize;
-    while start < raw.len() {
-        let mut end = start.saturating_add(block_bytes.max(1)).min(raw.len());
-        // Extend to the next newline so lines never straddle blocks.
-        while end < raw.len() && raw.get(end - 1) != Some(&b'\n') {
-            end += 1;
-        }
-        blocks.push(raw.get(start..end).unwrap_or_default());
-        start = end;
-    }
-    blocks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_blocks_respects_line_boundaries() {
-        let raw: Vec<u8> = (0..500)
-            .flat_map(|i| format!("INFO req {i} from host{}\n", i % 7).into_bytes())
-            .collect();
-        for block_bytes in [0, 1, 700] {
-            let blocks = split_blocks(&raw, block_bytes);
-            assert!(blocks.len() > 1);
-            assert_eq!(blocks.concat(), raw);
-            assert!(blocks.iter().all(|b| b.last() == Some(&b'\n')));
-        }
-        assert_eq!(split_blocks(&raw, raw.len()), vec![&raw[..]]);
-        assert_eq!(split_blocks(b"a\nbc", 1), vec![&b"a\n"[..], b"bc"]);
-        assert!(split_blocks(b"", 64).is_empty());
-    }
 
     #[test]
     fn split_lines_edges() {

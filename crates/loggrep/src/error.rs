@@ -17,6 +17,9 @@ pub enum Error {
     BadQuery(String),
     /// An inner codec failed to decompress a Capsule.
     Codec(String),
+    /// An archive file could not be read or written (the message names the
+    /// operation, the path and the OS error).
+    Io(String),
 }
 
 impl fmt::Display for Error {
@@ -28,6 +31,7 @@ impl fmt::Display for Error {
             Error::Corrupt(msg) => write!(f, "corrupt capsule box: {msg}"),
             Error::BadQuery(msg) => write!(f, "bad query: {msg}"),
             Error::Codec(msg) => write!(f, "codec failure: {msg}"),
+            Error::Io(msg) => f.write_str(msg),
         }
     }
 }

@@ -45,9 +45,13 @@ pub enum Category {
     Nominal,
 }
 
+/// Duplication-rate threshold separating real (<) from nominal (>=)
+/// variable vectors (§4.1; the paper uses 0.5).
+const DUPLICATION_THRESHOLD: f64 = 0.5;
+
 /// Categorizes a vector by the paper's 0.5 duplication-rate heuristic.
-pub fn categorize(values: &Column, config: &LogGrepConfig) -> Category {
-    if duplication_rate(values) < config.duplication_threshold {
+pub fn categorize(values: &Column) -> Category {
+    if duplication_rate(values) < DUPLICATION_THRESHOLD {
         Category::Real
     } else {
         Category::Nominal
@@ -66,7 +70,7 @@ pub fn extract_vector<'a>(
     if values.len() < config.min_vector_for_patterns {
         return Extraction::Plain;
     }
-    match categorize(values, config) {
+    match categorize(values) {
         Category::Real if config.use_runtime_real => {
             let mut rng = StdRng::seed_from_u64(config.seed ^ vector_id.wrapping_mul(0x9e37));
             match real::extract(values, config, &mut rng) {
@@ -99,12 +103,10 @@ mod tests {
 
     #[test]
     fn categorization_uses_threshold() {
-        let cfg = LogGrepConfig::default();
-        assert_eq!(categorize(&v(&["a", "b", "c", "d"]), &cfg), Category::Real);
-        assert_eq!(
-            categorize(&v(&["a", "a", "a", "b"]), &cfg),
-            Category::Nominal
-        );
+        assert_eq!(categorize(&v(&["a", "b", "c", "d"])), Category::Real);
+        // Exactly at the threshold (rate 0.5) is nominal.
+        assert_eq!(categorize(&v(&["a", "a", "b", "b"])), Category::Nominal);
+        assert_eq!(categorize(&v(&["a", "a", "a", "b"])), Category::Nominal);
     }
 
     #[test]

@@ -30,6 +30,13 @@ pub struct RealExtraction<'a> {
     pub outlier_values: Vec<&'a [u8]>,
 }
 
+/// Fraction of a variable vector sampled for the root node (§4.1: 5 %).
+const VALUE_SAMPLE_RATE: f64 = 0.05;
+/// Delimiter attempts per leaf before marking it unsplitable (§4.1: 3).
+const DELIMITER_ATTEMPTS: u32 = 3;
+/// Maximum pattern-tree depth (bounds pattern size).
+const MAX_TREE_DEPTH: u32 = 8;
+
 /// One leaf of the (flattened, in-order) pattern tree.
 enum Leaf {
     Const(Vec<u8>),
@@ -46,7 +53,7 @@ pub fn extract<'a>(
     rng: &mut StdRng,
 ) -> Option<RealExtraction<'a>> {
     // Sample 5 % (at least 32) and deduplicate: the root node.
-    let want = ((values.len() as f64 * config.value_sample_rate).ceil() as usize)
+    let want = ((values.len() as f64 * VALUE_SAMPLE_RATE).ceil() as usize)
         .max(32)
         .min(values.len());
     let stride = values.len().div_ceil(want).max(1);
@@ -140,12 +147,12 @@ fn expand(
     if values.iter().all(|v| *v == values[0]) {
         return vec![Leaf::Const(values[0].to_vec())];
     }
-    if depth >= config.max_tree_depth {
+    if depth >= MAX_TREE_DEPTH {
         return vec![Leaf::Var];
     }
 
     let mut tried: Vec<Vec<u8>> = Vec::new();
-    for _ in 0..config.delimiter_attempts {
+    for _ in 0..DELIMITER_ATTEMPTS {
         let Some(delim) = pick_delimiter(&values, &tried, rng) else {
             break;
         };

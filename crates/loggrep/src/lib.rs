@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod blockfile;
 pub mod boxfile;
 pub mod capsule;
 pub mod config;
@@ -49,9 +50,10 @@ pub mod typemask;
 pub mod vector;
 pub mod wire;
 
+pub use blockfile::{split_blocks, BlockFile};
 pub use boxfile::{Archive, CapsuleBox};
 pub use config::LogGrepConfig;
-pub use engine::{split_blocks, LogGrep};
+pub use engine::LogGrep;
 pub use error::{Error, Result};
 pub use query::explain::{AggDrift, Explanation, GroupDecision, PlanDrift};
 pub use query::lang::{AggSpec, Query};

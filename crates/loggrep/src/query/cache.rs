@@ -17,7 +17,7 @@ use crate::query::agg::AggResult;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Default entry cap (see [`crate::LogGrepConfig::query_cache_entries`]).
+/// Default entry cap (see [`crate::Archive::set_query_cache_entries`]).
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// The `query.cache.entries` gauge: live entries summed across every

@@ -479,7 +479,7 @@ impl<'a> ExecCtx<'a> {
                         for &row in &map {
                             value.clear();
                             values.append(row, &mut value)?;
-                            if value_matches(&value, part, mode) {
+                            if mode.matches(&value, part) {
                                 hits.push(row);
                             }
                         }
@@ -651,14 +651,4 @@ fn region_bytes<'p>(payload: &'p [u8], region: &DictRegion) -> Result<&'p [u8]> 
     payload
         .get(region.byte_offset..end)
         .ok_or_else(|| Error::Corrupt("dict region outside payload".into()))
-}
-
-/// Direct value/needle check shared by scan fallbacks.
-fn value_matches(value: &[u8], needle: &[u8], mode: Mode) -> bool {
-    match mode {
-        Mode::Contains => strsearch::contains(value, needle),
-        Mode::Prefix => value.starts_with(needle),
-        Mode::Suffix => value.ends_with(needle),
-        Mode::Exact => value == needle,
-    }
 }

@@ -12,7 +12,7 @@
 //!   no `'static` bounds or reference counting are needed at call sites.
 //! * **Bounded**: at most [`Pool::threads`] workers exist at a time; the
 //!   size comes from `LOGGREP_THREADS` or `available_parallelism` when the
-//!   pool is built with [`Pool::from_env`] (or `Pool::new(0)`).
+//!   pool is built with `Pool::new(0)`.
 //! * **Chunked work claiming**: workers grab contiguous chunks of the input
 //!   off a shared atomic cursor, amortizing synchronization while keeping
 //!   the tail balanced.
@@ -94,12 +94,6 @@ pub struct Pool {
     threads: usize,
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl Pool {
     /// Creates a pool with `threads` workers; `0` means [`default_threads`].
     pub fn new(threads: usize) -> Self {
@@ -110,11 +104,6 @@ impl Pool {
                 threads
             },
         }
-    }
-
-    /// A pool sized from `LOGGREP_THREADS` / `available_parallelism`.
-    pub fn from_env() -> Self {
-        Self::new(0)
     }
 
     /// A single-worker pool: every call runs inline on the caller.

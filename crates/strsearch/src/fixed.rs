@@ -21,6 +21,19 @@ pub enum Mode {
     Contains,
 }
 
+impl Mode {
+    /// Whether `value` satisfies this mode for `needle`.
+    #[inline]
+    pub fn matches(self, value: &[u8], needle: &[u8]) -> bool {
+        match self {
+            Mode::Exact => value == needle,
+            Mode::Prefix => value.starts_with(needle),
+            Mode::Suffix => value.ends_with(needle),
+            Mode::Contains => crate::contains(value, needle),
+        }
+    }
+}
+
 /// A view of a decompressed fixed-width Capsule buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedRows<'a> {
@@ -93,13 +106,7 @@ impl<'a> FixedRows<'a> {
 
     /// Checks `mode` against a single row (the direct-probe path of §5.2).
     pub fn probe(&self, row: usize, needle: &[u8], mode: Mode) -> bool {
-        let v = self.value(row);
-        match mode {
-            Mode::Exact => v == needle,
-            Mode::Prefix => v.starts_with(needle),
-            Mode::Suffix => v.ends_with(needle),
-            Mode::Contains => crate::contains(v, needle),
-        }
+        mode.matches(self.value(row), needle)
     }
 
     /// Returns the rows whose values satisfy `mode` for `needle`, in

@@ -78,6 +78,9 @@ else
     echo "ci: miri not available (nightly toolchain + miri component); skipping"
 fi
 
-# The workspace size ledger (ROADMAP aim 2): engine vs tooling `src/` lines.
+# The workspace size ledger (ROADMAP aim 2): `src/` lines of the engine, the
+# tooling and the shells around the engine, and the engine's option count.
 echo "ci: engine src lines:  $(find crates/{loggrep,codec,strsearch,logparse}/src -name '*.rs' | xargs wc -l | tail -n 1)"
 echo "ci: tooling src lines: $(find crates/{lint,difftest,telemetry,bench}/src suite/src -name '*.rs' | xargs wc -l | tail -n 1)"
+echo "ci: shells src lines:  $(find crates/{cli,cluster,baselines,pool,workloads}/src -name '*.rs' | xargs wc -l | tail -n 1)"
+echo "ci: LogGrepConfig fields: $(sed -n '/^pub struct LogGrepConfig {/,/^}/p' crates/loggrep/src/config.rs | grep -c '^    pub ')"
