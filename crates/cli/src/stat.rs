@@ -1,7 +1,7 @@
 //! `stat <archive.lgb>` and `explain <archive.lgb> <command>`.
 
 use crate::human;
-use loggrep::BlockFile;
+use loggrep::{BlockFile, ByteMap};
 
 pub(crate) fn explain_file(path: &str, command: &str) -> Result<(), String> {
     let file = BlockFile::open(path).map_err(|e| e.to_string())?;
@@ -44,17 +44,19 @@ fn stat_report(file: &BlockFile, stored: u64, json: bool) -> String {
     }
     let sizes = sizes.snapshot();
     let ratio = raw as f64 / stored.max(1) as f64;
+    let bytes = file.byte_map();
     if json {
         return format!(
             "{{\n  \"blocks\": {},\n  \"lines\": {lines},\n  \"raw_bytes\": {raw},\n  \
              \"stored_bytes\": {stored},\n  \"ratio\": {ratio:.4},\n  \"groups\": {groups},\n  \
              \"capsules\": {capsules},\n  \"capsule_bytes\": {{\"p50\": {}, \"p95\": {}, \
-             \"p99\": {}, \"max\": {}}}\n}}\n",
+             \"p99\": {}, \"max\": {}}},\n  \"bytes\": {}\n}}\n",
             archives.len(),
             sizes.quantile(0.5),
             sizes.quantile(0.95),
             sizes.quantile(0.99),
             sizes.max,
+            bytes_json(&bytes),
         );
     }
     let mut out = String::new();
@@ -72,7 +74,22 @@ fn stat_report(file: &BlockFile, stored: u64, json: bool) -> String {
         sizes.quantile(0.99),
         sizes.max,
     ));
+    out.push_str("bytes:\n");
+    for (section, n) in bytes.sections() {
+        let share = 100.0 * n as f64 / stored.max(1) as f64;
+        out.push_str(&format!("  {section:<18} {n:>12} {share:>5.1}%\n"));
+    }
     out
+}
+
+/// The byte map as a flat JSON object, one key per section.
+fn bytes_json(map: &ByteMap) -> String {
+    let fields: Vec<String> = map
+        .sections()
+        .iter()
+        .map(|(section, n)| format!("\"{section}\": {n}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 #[cfg(test)]
@@ -99,6 +116,31 @@ mod tests {
             assert!(json.contains(&format!("\"{key}\"")), "missing {key} in {json}");
         }
         assert!(text.contains("capsule bytes: p50="), "{text}");
+        assert!(text.contains("  line_numbers "), "{text}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn stat_bytes_sum_to_the_stored_size() {
+        let spec = workloads::by_name("Log C").unwrap();
+        let engine = LogGrep::new(LogGrepConfig::default());
+        let raw = spec.generate(3, 96 * 1024);
+        let file = BlockFile::compress(&engine, &raw, 24 * 1024).unwrap();
+        let stored = file.to_bytes().len() as u64;
+        let doc = telemetry::json::parse(&stat_report(&file, stored, true)).unwrap();
+        let bytes = doc.get("bytes").expect("bytes object");
+        let telemetry::json::Value::Obj(fields) = bytes else {
+            panic!("bytes is not an object: {bytes:?}");
+        };
+        let sum: f64 = fields
+            .values()
+            .filter_map(telemetry::json::Value::as_num)
+            .sum();
+        assert!(fields.contains_key("payload.deflate") || fields.contains_key("payload.lzma-lite"));
+        assert_eq!(sum as u64, stored);
+        assert_eq!(
+            bytes.num("framing"),
+            Some((8 + 8 * file.blocks().len()) as f64)
+        );
     }
 }

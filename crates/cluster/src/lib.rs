@@ -308,27 +308,23 @@ impl Cluster {
     }
 
     /// Splits `raw` into blocks of at most `block_bytes` (on line
-    /// boundaries), compresses them in parallel, and writes every block to
-    /// all replicas of its shard. A block is acknowledged only once every
-    /// replica committed; any failure rolls the whole batch back. Returns
-    /// the number of blocks ingested.
+    /// boundaries), admits them, compresses them in parallel, and writes
+    /// every block to all replicas of its shard. A block is acknowledged
+    /// only once every replica committed; any failure rolls the whole batch
+    /// back. Returns the number of blocks ingested.
     ///
     /// # Errors
     ///
     /// * [`ClusterError::Overloaded`] — a node's admission queue is full;
-    ///   nothing was ingested, retry after the hinted delay.
+    ///   nothing was compressed or ingested, retry after the hinted delay.
     /// * [`ClusterError::Ingest`] — compression failed or a replica set
     ///   could not be written; the batch was rolled back and the cluster
     ///   is exactly as before the call.
     pub fn ingest(&mut self, raw: &[u8], block_bytes: usize) -> Result<usize, ClusterError> {
         let _span = telemetry::span("cluster/ingest");
-        // The engine owns the block split and the one worker pool:
-        // order-preserving and byte-identical to serial.
-        let boxes = self
-            .engine
-            .compress_blocks(raw, block_bytes)
-            .map_err(|e| ClusterError::Ingest(e.to_string()))?;
-        let n = boxes.len();
+        // The block count is all admission needs: a rejected batch costs a
+        // scan for newlines, not its compression.
+        let n = loggrep::split_blocks(raw, block_bytes).len();
         if n == 0 {
             return Ok(0);
         }
@@ -357,6 +353,16 @@ impl Cluster {
             }
         }
         ingest_queue_gauge().set(admitted.len() as i64);
+
+        // The engine splits the same way again and owns the one worker
+        // pool: order-preserving and byte-identical to serial.
+        let boxes = match self.engine.compress_blocks(raw, block_bytes) {
+            Ok(boxes) => boxes,
+            Err(e) => {
+                self.drain_queues();
+                return Err(ClusterError::Ingest(e.to_string()));
+            }
+        };
         telemetry::counter!("cluster.blocks_ingested", n as u64);
 
         // Replicated two-phase write: stage on every replica, then commit.
@@ -716,6 +722,41 @@ mod tests {
         assert_eq!(cluster.stored_bytes(), 0);
         // A batch that fits the queues still works afterwards.
         assert!(cluster.ingest(&sample(40), 4 * 1024).is_ok());
+    }
+
+    #[test]
+    fn admission_runs_before_compression() {
+        let cfg = ClusterConfig {
+            queue_capacity: 2,
+            ..ClusterConfig::for_nodes(2, LogGrepConfig::default())
+        };
+        let mut cluster = Cluster::with_config(cfg).unwrap();
+        // A NUL byte fails compression, but a full queue answers first.
+        let mut raw = sample(2000);
+        raw[100] = 0;
+        let err = cluster.ingest(&raw, 512).unwrap_err();
+        assert!(matches!(err, ClusterError::Overloaded { .. }), "{err}");
+        assert_eq!(cluster.block_count(), 0);
+    }
+
+    #[test]
+    fn failed_compression_frees_its_queue_slots() {
+        // One node, so every block of a batch queues on it.
+        let cfg = ClusterConfig {
+            queue_capacity: 3,
+            ..ClusterConfig::for_nodes(1, LogGrepConfig::default())
+        };
+        let mut cluster = Cluster::with_config(cfg).unwrap();
+        let raw = sample(300);
+        let block_bytes = raw.len() / 3 + 1;
+        assert_eq!(loggrep::split_blocks(&raw, block_bytes).len(), 3);
+        let mut bad = raw.clone();
+        bad[10] = 0;
+        let err = cluster.ingest(&bad, block_bytes).unwrap_err();
+        assert!(matches!(err, ClusterError::Ingest(_)), "{err}");
+        // The failed batch held all three slots; a full-capacity batch fits.
+        assert_eq!(cluster.ingest(&raw, block_bytes).unwrap(), 3);
+        assert_eq!(cluster.block_count(), 3);
     }
 
     #[test]

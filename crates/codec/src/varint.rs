@@ -19,6 +19,12 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut value: u64) {
 /// Returns `(value, bytes_consumed)`, or `None` if the input is truncated or
 /// the varint overflows 64 bits.
 pub fn get_uvarint(input: &[u8]) -> Option<(u64, usize)> {
+    // Most wire varints are one byte: return those before the loop.
+    if let Some(&byte) = input.first() {
+        if byte < 0x80 {
+            return Some((u64::from(byte), 1));
+        }
+    }
     let mut value: u64 = 0;
     let mut shift = 0u32;
     for (i, &byte) in input.iter().enumerate() {

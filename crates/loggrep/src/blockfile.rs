@@ -12,7 +12,7 @@
 //! frame boundary parses as a shorter archive. [`BlockFile::commit`] is what
 //! keeps such a file from ever appearing under the final name.
 
-use crate::boxfile::{Archive, CapsuleBox};
+use crate::boxfile::{Archive, ByteMap, CapsuleBox};
 use crate::engine::LogGrep;
 use crate::error::{Error, Result};
 use crate::query::lang::AggSpec;
@@ -138,6 +138,20 @@ impl BlockFile {
             out.extend_from_slice(&body);
         }
         out
+    }
+
+    /// Where the container's bytes go: each block's
+    /// [`CapsuleBox::byte_map`] plus the framing. The total is the length
+    /// of [`Self::to_bytes`].
+    pub fn byte_map(&self) -> ByteMap {
+        let mut map = ByteMap {
+            framing: (MAGIC.len() + 8 * self.blocks.len()) as u64,
+            ..ByteMap::default()
+        };
+        for block in &self.blocks {
+            map.add(&block.capsule_box().byte_map());
+        }
+        map
     }
 
     /// Writes the container to `path` all or nothing and returns its size:

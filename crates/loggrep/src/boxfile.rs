@@ -10,6 +10,7 @@ use crate::wire::{Reader, Writer};
 use logparse::{Piece, Template};
 use std::cell::OnceCell;
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
 /// Magic bytes of the container format.
@@ -39,6 +40,138 @@ impl GroupMeta {
     }
 }
 
+/// A group's static pattern: piece count, then each piece.
+fn write_template(w: &mut Writer, template: &Template) {
+    let pieces = template.pieces();
+    w.put_usize(pieces.len());
+    for p in pieces {
+        match p {
+            Piece::Static(s) => {
+                w.put_u8(0);
+                w.put_bytes(s);
+            }
+            Piece::Slot(i) => {
+                w.put_u8(1);
+                w.put_usize(*i);
+            }
+        }
+    }
+}
+
+/// A group's vector count, then each vector's metadata.
+fn write_vectors(w: &mut Writer, vectors: &[VectorMeta]) {
+    w.put_usize(vectors.len());
+    for v in vectors {
+        v.write(w);
+    }
+}
+
+/// The Capsule count, then each Capsule's layout, rows, stamp, payload
+/// range and codec.
+fn write_capsule_table(w: &mut Writer, capsules: &[CapsuleMeta]) {
+    w.put_usize(capsules.len());
+    for c in capsules {
+        match c.layout {
+            Layout::Padded { width } => {
+                w.put_u8(0);
+                w.put_u32(width);
+            }
+            Layout::Delimited => w.put_u8(1),
+            Layout::Raw => w.put_u8(2),
+        }
+        w.put_u32(c.rows);
+        c.stamp.write(w);
+        w.put_u64(c.offset);
+        w.put_u64(c.clen);
+        w.put_u8(c.codec);
+    }
+}
+
+/// Where the bytes of a serialized box ([`CapsuleBox::byte_map`]) or of a
+/// `.lgb` file ([`crate::BlockFile::byte_map`]) go, section by section.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ByteMap {
+    /// Magic, version, flags, line and byte counts, group count.
+    pub header: u64,
+    /// Static patterns: each group's pieces.
+    pub templates: u64,
+    /// Each group's line-number column: count and delta varints.
+    pub line_numbers: u64,
+    /// Runtime patterns of real vectors and dictionary patterns, with
+    /// their sub-variable stamps.
+    pub runtime_patterns: u64,
+    /// Outlier row lists of real vectors.
+    pub outlier_rows: u64,
+    /// Per-value occurrence counts of dictionaries.
+    pub value_counts: u64,
+    /// The rest of the vector metadata: counts, tags, Capsule ids,
+    /// dictionary sizes.
+    pub vector_refs: u64,
+    /// Capsule stamps: type mask and max length.
+    pub stamps: u64,
+    /// The rest of the Capsule table (count, layouts, rows, payload ranges,
+    /// codec ids) and the payload region's length prefix.
+    pub capsule_table: u64,
+    /// Compressed Capsule payload bytes per codec name.
+    pub payload: BTreeMap<&'static str, u64>,
+    /// CRC-32 trailers.
+    pub checksum: u64,
+    /// `.lgb` container framing: the magic and one length per block.
+    pub framing: u64,
+}
+
+impl ByteMap {
+    /// Every section as `(name, bytes)`, payload as `payload.<codec>`, in
+    /// file order.
+    pub fn sections(&self) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = [
+            ("header", self.header),
+            ("templates", self.templates),
+            ("line_numbers", self.line_numbers),
+            ("runtime_patterns", self.runtime_patterns),
+            ("outlier_rows", self.outlier_rows),
+            ("value_counts", self.value_counts),
+            ("vector_refs", self.vector_refs),
+            ("stamps", self.stamps),
+            ("capsule_table", self.capsule_table),
+        ]
+        .into_iter()
+        .map(|(name, bytes)| (name.to_string(), bytes))
+        .collect();
+        out.extend(
+            self.payload
+                .iter()
+                .map(|(codec, bytes)| (format!("payload.{codec}"), *bytes)),
+        );
+        out.push(("checksum".into(), self.checksum));
+        out.push(("framing".into(), self.framing));
+        out
+    }
+
+    /// The sum of every section.
+    pub fn total(&self) -> u64 {
+        self.sections().iter().map(|(_, bytes)| bytes).sum()
+    }
+
+    /// Adds `other`'s bytes to this map, section by section.
+    pub fn add(&mut self, other: &ByteMap) {
+        self.header += other.header;
+        self.templates += other.templates;
+        self.line_numbers += other.line_numbers;
+        self.runtime_patterns += other.runtime_patterns;
+        self.outlier_rows += other.outlier_rows;
+        self.value_counts += other.value_counts;
+        self.vector_refs += other.vector_refs;
+        self.stamps += other.stamps;
+        self.capsule_table += other.capsule_table;
+        for (&codec, &bytes) in &other.payload {
+            *self.payload.entry(codec).or_default() += bytes;
+        }
+        self.checksum += other.checksum;
+        self.framing += other.framing;
+    }
+}
+
 /// A compressed log block: all Capsules plus their metadata.
 #[derive(Debug, Clone)]
 pub struct CapsuleBox {
@@ -65,57 +198,96 @@ impl CapsuleBox {
     /// Serializes the box.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_raw(MAGIC);
-        w.put_u8(VERSION);
-        w.put_bool(self.fixed_length);
-        w.put_u32(self.total_lines);
-        w.put_u64(self.raw_size);
-
-        w.put_usize(self.groups.len());
+        self.write_header(&mut w);
         for g in &self.groups {
-            let pieces = g.template.pieces();
-            w.put_usize(pieces.len());
-            for p in pieces {
-                match p {
-                    Piece::Static(s) => {
-                        w.put_u8(0);
-                        w.put_bytes(s);
-                    }
-                    Piece::Slot(i) => {
-                        w.put_u8(1);
-                        w.put_usize(*i);
-                    }
-                }
-            }
+            write_template(&mut w, &g.template);
             w.put_ascending_u32s(&g.line_numbers);
-            w.put_usize(g.vectors.len());
-            for v in &g.vectors {
-                v.write(&mut w);
-            }
+            write_vectors(&mut w, &g.vectors);
         }
-
-        w.put_usize(self.capsules.len());
-        for c in &self.capsules {
-            match c.layout {
-                Layout::Padded { width } => {
-                    w.put_u8(0);
-                    w.put_u32(width);
-                }
-                Layout::Delimited => w.put_u8(1),
-                Layout::Raw => w.put_u8(2),
-            }
-            w.put_u32(c.rows);
-            c.stamp.write(&mut w);
-            w.put_u64(c.offset);
-            w.put_u64(c.clen);
-            w.put_u8(c.codec);
-        }
-
+        write_capsule_table(&mut w, &self.capsules);
         w.put_bytes(&self.blob);
         let mut bytes = w.into_bytes();
         let crc = crate::wire::crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
         bytes
+    }
+
+    /// Magic, version, flags, line and byte counts, group count.
+    fn write_header(&self, w: &mut Writer) {
+        w.put_raw(MAGIC);
+        w.put_u8(VERSION);
+        w.put_bool(self.fixed_length);
+        w.put_u32(self.total_lines);
+        w.put_u64(self.raw_size);
+        w.put_usize(self.groups.len());
+    }
+
+    /// Where [`Self::to_bytes`]' bytes go: each section is serialized on
+    /// its own through the same writers and measured. The sections add up
+    /// to the serialized size whenever the Capsules tile the payload
+    /// region, as they do in every box [`crate::LogGrep`] builds.
+    pub fn byte_map(&self) -> ByteMap {
+        fn measure(write: impl FnOnce(&mut Writer)) -> u64 {
+            let mut w = Writer::new();
+            write(&mut w);
+            w.len() as u64
+        }
+        let mut map = ByteMap {
+            header: measure(|w| self.write_header(w)),
+            checksum: 4,
+            ..ByteMap::default()
+        };
+        for g in &self.groups {
+            map.templates += measure(|w| write_template(w, &g.template));
+            map.line_numbers += measure(|w| w.put_ascending_u32s(&g.line_numbers));
+            let mut vectors = measure(|w| write_vectors(w, &g.vectors));
+            for v in &g.vectors {
+                let (patterns, outliers, counts) = match v {
+                    VectorMeta::Plain { .. } => (0, 0, 0),
+                    VectorMeta::Real {
+                        pattern,
+                        outlier_rows,
+                        ..
+                    } => (
+                        measure(|w| pattern.write(w)),
+                        measure(|w| w.put_ascending_u32s(outlier_rows)),
+                        0,
+                    ),
+                    VectorMeta::Nominal {
+                        patterns,
+                        value_counts,
+                        ..
+                    } => (
+                        patterns
+                            .iter()
+                            .map(|p| measure(|w| p.pattern.write(w)))
+                            .sum(),
+                        0,
+                        value_counts
+                            .iter()
+                            .map(|&c| measure(|w| w.put_u32(c)))
+                            .sum(),
+                    ),
+                };
+                map.runtime_patterns += patterns;
+                map.outlier_rows += outliers;
+                map.value_counts += counts;
+                vectors -= patterns + outliers + counts;
+            }
+            map.vector_refs += vectors;
+        }
+        map.stamps = self
+            .capsules
+            .iter()
+            .map(|c| measure(|w| c.stamp.write(w)))
+            .sum();
+        map.capsule_table = measure(|w| write_capsule_table(w, &self.capsules)) - map.stamps
+            + measure(|w| w.put_usize(self.blob.len()));
+        for c in &self.capsules {
+            let codec = codec_by_id(c.codec).map_or("unknown", |codec| codec.name());
+            *map.payload.entry(codec).or_default() += c.clen;
+        }
+        map
     }
 
     /// Deserializes a box.
@@ -127,6 +299,8 @@ impl CapsuleBox {
     /// payload ranges outside the blob, group rows not summing to
     /// `total_lines`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let _open = telemetry::span("open");
+        telemetry::counter!("open.bytes", bytes.len() as u64);
         // The CRC-32 trailer goes first: any bit-level damage is caught
         // before the damaged bytes are interpreted structurally.
         let body_len = bytes
@@ -140,9 +314,12 @@ impl CapsuleBox {
             Some([a, b, c, d]) => u32::from_le_bytes([*a, *b, *c, *d]),
             _ => return Err(Error::Corrupt("missing checksum trailer".into())),
         };
+        let checksum = telemetry::span("checksum");
         if crate::wire::crc32(body) != want {
             return Err(Error::Corrupt("checksum mismatch".into()));
         }
+        drop(checksum);
+        let _metadata = telemetry::span("metadata");
         let mut r = Reader::new(body);
         if r.get_raw(4)? != MAGIC {
             return Err(Error::Corrupt("bad magic".into()));
@@ -253,11 +430,9 @@ impl CapsuleBox {
                         // Outlier rows must be vector-local, strictly
                         // ascending, and in range — `pattern_row_map` and
                         // the outlier lookup in query exec rely on it.
-                        let ascending = outlier_rows
-                            .iter()
-                            .zip(outlier_rows.iter().skip(1))
-                            .all(|(a, b)| a < b);
-                        if !ascending || outlier_rows.last().is_some_and(|&last| last >= rows) {
+                        if !strictly_ascending(outlier_rows)
+                            || outlier_rows.last().is_some_and(|&last| last >= rows)
+                        {
                             return Err(Error::Corrupt("outlier rows out of range".into()));
                         }
                     }
@@ -294,12 +469,7 @@ impl CapsuleBox {
             // Line numbers are ascending by wire construction; they must
             // also be strictly ascending (each row is a distinct line)
             // and in range.
-            let strict = g
-                .line_numbers
-                .iter()
-                .zip(g.line_numbers.iter().skip(1))
-                .all(|(a, b)| a < b);
-            if !strict {
+            if !strictly_ascending(&g.line_numbers) {
                 return Err(Error::Corrupt("duplicate line numbers".into()));
             }
             if let Some(&last) = g.line_numbers.last() {
@@ -583,6 +753,15 @@ impl Drop for Archive {
     fn drop(&mut self) {
         open_archives_gauge().add(-1);
     }
+}
+
+/// Whether `values` strictly ascend. The fold has no early exit, so the
+/// comparisons vectorize: open runs it over every row of the box.
+fn strictly_ascending(values: &[u32]) -> bool {
+    values
+        .iter()
+        .zip(values.iter().skip(1))
+        .fold(true, |ok, (a, b)| ok & (a < b))
 }
 
 /// Builds a `TypeMask` summary over a whole group's static text — used by

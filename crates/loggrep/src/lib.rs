@@ -51,7 +51,7 @@ pub mod vector;
 pub mod wire;
 
 pub use blockfile::{split_blocks, BlockFile};
-pub use boxfile::{Archive, CapsuleBox};
+pub use boxfile::{Archive, ByteMap, CapsuleBox};
 pub use config::LogGrepConfig;
 pub use engine::LogGrep;
 pub use error::{Error, Result};

@@ -212,10 +212,7 @@ impl VectorMeta {
                 if dict_len as usize > r.remaining() {
                     return Err(Error::Corrupt("dictionary value-count truncated".into()));
                 }
-                let mut value_counts = Vec::new();
-                for _ in 0..dict_len {
-                    value_counts.push(r.get_u32()?);
-                }
+                let value_counts = r.get_u32s(dict_len as usize)?;
                 Ok(VectorMeta::Nominal {
                     patterns,
                     dict_cap,
