@@ -279,11 +279,17 @@ impl<'a> CapsuleView<'a> {
                 let slice = f.slice_rows(start as usize, end as usize);
                 slice.find(needle, mode).into_iter().map(|r| r + start).collect()
             }
-            CapsuleView::Delimited { values, .. } => (start..end.min(values.len() as u32))
-                .filter(|&r| {
-                    values.get(r as usize).copied().is_some_and(|v| mode.matches(v, needle))
-                })
-                .collect(),
+            CapsuleView::Delimited { values, .. } => {
+                let matcher = mode.matcher(needle);
+                (start..end.min(values.len() as u32))
+                    .filter(|&r| {
+                        values
+                            .get(r as usize)
+                            .copied()
+                            .is_some_and(|v| matcher.matches(v))
+                    })
+                    .collect()
+            }
             CapsuleView::Raw(_) => Vec::new(),
         }
     }

@@ -17,7 +17,7 @@ use logparse::DEFAULT_DELIMS;
 use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::time::Instant;
-use strsearch::FixedRows;
+use strsearch::{Finder, FixedRows};
 
 /// The result of a query: matching lines in original log order.
 #[derive(Debug, Clone)]
@@ -54,6 +54,11 @@ impl Archive {
             ExecCtx::new(self)
         };
         ctx.stats.capsules_total = self.boxed.capsules.len() as u32;
+        // A single search string's verified rows are exactly its result, so
+        // their rendered lines can become the result's lines. Under
+        // `and`/`not` a later operand may discard most of them, so
+        // composites keep nothing.
+        ctx.keep_verified = matches!(query.expr, Expr::Str(_));
 
         let line_numbers = if self.use_query_cache {
             match self.cache.get(command) {
@@ -94,7 +99,7 @@ impl Archive {
     /// Reconstructs every stored line in original order (the full-decompress
     /// path, used by tests and the `ggrep`-style fallback).
     pub fn reconstruct_all(&self) -> Result<Vec<Vec<u8>>> {
-        let ctx = ExecCtx::new(self);
+        let mut ctx = ExecCtx::new(self);
         let all: Vec<u32> = (0..self.boxed.total_lines).collect();
         ctx.reconstruct(&all)
     }
@@ -204,12 +209,18 @@ impl<'a> Payloads<'a> {
     }
 }
 
-/// Per-query execution context: the archive handle, the query's statistics
-/// and its decompressed Capsules.
+/// Per-query execution context: the archive handle, the query's statistics,
+/// its decompressed Capsules and the lines verification already rendered.
 pub(crate) struct ExecCtx<'a> {
     pub(crate) archive: &'a Archive,
     pub(crate) stats: QueryStats,
     pub(crate) payloads: Payloads<'a>,
+    /// Whether `verify_rows` keeps the lines it passes for `reconstruct`.
+    keep_verified: bool,
+    /// Per group, the `(row, rendered line)` pairs the last verification of
+    /// that group passed, ascending by row. Empty (unallocated) until the
+    /// first verification under `keep_verified`.
+    kept: Vec<Vec<(u32, Vec<u8>)>>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -220,6 +231,8 @@ impl<'a> ExecCtx<'a> {
             archive,
             stats: QueryStats::default(),
             payloads: Payloads { archive, cells },
+            keep_verified: false,
+            kept: Vec::new(),
         }
     }
 
@@ -381,12 +394,15 @@ impl<'a> ExecCtx<'a> {
             return Ok(candidates);
         }
         let rows: Vec<u32> = candidates.iter().collect();
-        self.verify_rows(gid, &rows, |line| s.matches_line(line, DEFAULT_DELIMS))
+        let matcher = s.matcher();
+        self.verify_rows(gid, &rows, |line| matcher.matches(line, DEFAULT_DELIMS))
     }
 
     /// Renders each of `rows` (ascending) and keeps those passing `pred` —
     /// the verify-by-reconstruction step shared by wildcard searches and
-    /// the planner's Overflow fallback.
+    /// the planner's Overflow fallback. Under `keep_verified` the passing
+    /// lines replace the group's kept lines, so `reconstruct` moves them
+    /// into the result instead of rendering them again.
     fn verify_rows(
         &mut self,
         gid: usize,
@@ -396,6 +412,7 @@ impl<'a> ExecCtx<'a> {
         let mut ops = group_ops(&self.payloads, self.group(gid)?)?;
         let mut line = Vec::new();
         let mut hits = Vec::new();
+        let mut kept = Vec::new();
         for &row in rows {
             line.clear();
             for op in &mut ops {
@@ -403,6 +420,17 @@ impl<'a> ExecCtx<'a> {
             }
             if pred(&line) {
                 hits.push(row);
+                if self.keep_verified {
+                    kept.push((row, line.clone()));
+                }
+            }
+        }
+        if self.keep_verified {
+            if self.kept.is_empty() {
+                self.kept.resize_with(self.archive.boxed.groups.len(), Vec::new);
+            }
+            if let Some(slot) = self.kept.get_mut(gid) {
+                *slot = kept;
             }
         }
         self.note_rows_verified(rows.len());
@@ -430,7 +458,8 @@ impl<'a> ExecCtx<'a> {
             Matches::All => Ok(RowSet::all(nrows)),
             Matches::Overflow => {
                 let rows: Vec<u32> = (0..nrows).collect();
-                self.verify_rows(gid, &rows, |line| strsearch::contains(line, kw))
+                let finder = Finder::new(kw);
+                self.verify_rows(gid, &rows, |line| finder.contains(line))
             }
             Matches::Any(conjs) => self.eval_conjs(conjs, nrows),
         }
@@ -474,12 +503,13 @@ impl<'a> ExecCtx<'a> {
                         // values of its pattern rows into one reused buffer.
                         let mut values =
                             Op::real(&self.payloads, pattern, sub_caps, *outlier_cap, outlier_rows)?;
+                        let matcher = mode.matcher(part);
                         let mut value = Vec::new();
                         let mut hits = Vec::new();
                         for &row in &map {
                             value.clear();
                             values.append(row, &mut value)?;
-                            if mode.matches(&value, part) {
+                            if matcher.matches(&value) {
                                 hits.push(row);
                             }
                         }
@@ -605,11 +635,17 @@ impl<'a> ExecCtx<'a> {
     /// Groups hold their rows in original order, so entries of one group are
     /// naturally ordered (each group's outlier cursors only move forward);
     /// across groups the stored line numbers (logical timestamps) restore
-    /// the global order, as in §3's Reconstruction.
-    fn reconstruct(&self, line_numbers: &[u32]) -> Result<Vec<Vec<u8>>> {
+    /// the global order, as in §3's Reconstruction. A line verification
+    /// kept is moved into the output rather than rendered again; each
+    /// group's kept lines are walked with a forward cursor.
+    fn reconstruct(&mut self, line_numbers: &[u32]) -> Result<Vec<Vec<u8>>> {
+        let mut kept = std::mem::take(&mut self.kept);
+        let mut cursors = vec![0usize; kept.len()];
+        let mut reused = 0usize;
         let index = self.archive.line_index();
         let groups = &self.archive.boxed.groups;
-        // One op list per group, compiled when its first line comes up.
+        // One op list per group, compiled when its first rendered line
+        // comes up.
         let mut compiled: Vec<Option<Vec<Op<'_>>>> = Vec::new();
         compiled.resize_with(groups.len(), || None);
         let mut line = Vec::new();
@@ -625,6 +661,21 @@ impl<'a> ExecCtx<'a> {
             else {
                 return Err(Error::Corrupt("line number missing from groups".into()));
             };
+            if let (Some(lines), Some(cursor)) =
+                (kept.get_mut(gid as usize), cursors.get_mut(gid as usize))
+            {
+                while lines.get(*cursor).is_some_and(|&(r, _)| r < row) {
+                    *cursor += 1;
+                }
+                if let Some((r, l)) = lines.get_mut(*cursor) {
+                    if *r == row {
+                        out.push(std::mem::take(l));
+                        *cursor += 1;
+                        reused += 1;
+                        continue;
+                    }
+                }
+            }
             let ops = match slot {
                 Some(ops) => ops,
                 None => slot.insert(group_ops(&self.payloads, group)?),
@@ -634,6 +685,10 @@ impl<'a> ExecCtx<'a> {
                 op.append(row, &mut line)?;
             }
             out.push(line.clone());
+        }
+        if reused > 0 {
+            self.stats.lines_reused += reused;
+            telemetry::counter!("query.lines_reused", reused as u64);
         }
         Ok(out)
     }

@@ -87,15 +87,33 @@ impl SearchString {
     /// Ground-truth matcher: does the string occur in `line`, with `*`
     /// confined to runs of non-delimiter bytes? This is the oracle the
     /// gzip+grep baseline uses and the reference the engine must agree with.
+    /// Callers testing many lines compile a [`SearchString::matcher`] once.
     pub fn matches_line(&self, line: &[u8], delims: &[u8]) -> bool {
-        if !self.has_wildcard() {
-            if let Some(Element::Lit(l)) = self.elements.first() {
-                return strsearch::contains(line, l);
-            }
-        }
-        (0..=line.len()).any(|start| Self::match_at(&self.elements, line, start, delims))
+        self.matcher().matches(line, delims)
     }
 
+    /// Compiles the string for matching many lines.
+    pub fn matcher(&self) -> LineMatcher<'_> {
+        // A leading star may consume nothing, so it reaches every start
+        // offset: dropping it leaves the set of matching lines unchanged.
+        let elements = match self.elements.as_slice() {
+            [Element::Star, rest @ ..] => rest,
+            all => all,
+        };
+        // `compile` guarantees a literal here; a hand-built string without
+        // one anchors on the empty needle, i.e. at every offset.
+        let (first, rest) = match elements {
+            [Element::Lit(first), rest @ ..] => (first.as_slice(), rest),
+            _ => (&b""[..], elements),
+        };
+        LineMatcher {
+            first: strsearch::Finder::new(first),
+            rest,
+        }
+    }
+
+    /// Does `elements` match `line` starting exactly at `pos`? Stars
+    /// backtrack over runs of non-delimiter bytes.
     fn match_at(elements: &[Element], line: &[u8], pos: usize, delims: &[u8]) -> bool {
         match elements.first() {
             None => true,
@@ -117,6 +135,32 @@ impl SearchString {
                 }
             }
         }
+    }
+}
+
+/// A [`SearchString`] compiled for matching many lines: every match starts
+/// with the string's first literal (after any leading star), so the
+/// matcher finds each occurrence of that literal with a prebuilt
+/// [`strsearch::Finder`] and backtracks over the remaining elements only
+/// from there.
+#[derive(Debug, Clone)]
+pub struct LineMatcher<'s> {
+    first: strsearch::Finder,
+    rest: &'s [Element],
+}
+
+impl LineMatcher<'_> {
+    /// Same truth table as [`SearchString::matches_line`].
+    pub fn matches(&self, line: &[u8], delims: &[u8]) -> bool {
+        let len = self.first.needle().len();
+        let mut from = 0;
+        while let Some(at) = self.first.find_from(line, from) {
+            if SearchString::match_at(self.rest, line, at + len, delims) {
+                return true;
+            }
+            from = at + 1;
+        }
+        false
     }
 }
 
@@ -356,6 +400,94 @@ mod tests {
         SearchString::compile(s)
             .unwrap()
             .matches_line(line.as_bytes(), DEFAULT_DELIMS)
+    }
+
+    /// The unanchored matcher the compiled one replaced: backtrack from
+    /// every byte offset.
+    fn matches_line_reference(s: &SearchString, line: &[u8], delims: &[u8]) -> bool {
+        (0..=line.len()).any(|start| SearchString::match_at(&s.elements, line, start, delims))
+    }
+
+    /// A deterministic xorshift stream (no external RNG in this crate).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn anchored_matcher_agrees_with_reference() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut positives = 0;
+        for case in 0..12_000 {
+            // A third of the cases draw from two letters and a delimiter,
+            // so literals overlap themselves across token boundaries.
+            let alphabet: &[u8] = if case % 3 == 0 { b"a:b" } else { b"abc:=/ \t" };
+            let line: Vec<u8> = (0..rng.below(201))
+                .map(|_| alphabet[rng.below(alphabet.len())])
+                .collect();
+            // Half the literals are cut from the line itself, so they occur
+            // (often repeatedly) and may contain delimiters.
+            let lit = |rng: &mut Rng| -> Vec<u8> {
+                let n = 1 + rng.below(3);
+                if !line.is_empty() && rng.below(2) == 0 {
+                    let at = rng.below(line.len());
+                    line[at..(at + n).min(line.len())].to_vec()
+                } else {
+                    (0..n)
+                        .map(|_| alphabet[rng.below(alphabet.len())])
+                        .collect()
+                }
+            };
+            let mut pattern = Vec::new();
+            if rng.below(3) == 0 {
+                pattern.push(b'*');
+            }
+            for i in 0..1 + rng.below(3) {
+                if i > 0 {
+                    // Interior stars, sometimes doubled.
+                    pattern.extend_from_slice(if rng.below(4) == 0 { b"**" } else { b"*" });
+                }
+                pattern.extend(lit(&mut rng));
+            }
+            if rng.below(3) == 0 {
+                pattern.push(b'*');
+            }
+            let s = SearchString::compile(std::str::from_utf8(&pattern).unwrap()).unwrap();
+            let want = matches_line_reference(&s, &line, DEFAULT_DELIMS);
+            assert_eq!(
+                s.matcher().matches(&line, DEFAULT_DELIMS),
+                want,
+                "case {case}: pattern {:?} line {:?}",
+                s.raw,
+                String::from_utf8_lossy(&line)
+            );
+            positives += usize::from(want);
+        }
+        // Both outcomes are well represented.
+        assert!((2_000..10_000).contains(&positives), "{positives} matches");
+    }
+
+    #[test]
+    fn overlapping_first_literal() {
+        // `a:a` fails at offset 0 (`*b` meets the delimiter) and matches at
+        // offset 2, which overlaps the first occurrence.
+        assert!(m("a:a*b", "a:a:ab"));
+        assert!(!m("a:a*b", "a:a:a"));
+    }
+
+    #[test]
+    fn leading_star_is_not_quadratic() {
+        let line = vec![b'c'; 10 * 1024];
+        assert!(!m("*ch", std::str::from_utf8(&line).unwrap()));
+        let mut hit = line.clone();
+        hit.push(b'h');
+        assert!(m("*ch", std::str::from_utf8(&hit).unwrap()));
     }
 
     #[test]

@@ -139,6 +139,9 @@ pub struct QueryStats {
     pub groups_skipped: usize,
     /// Rows verified by full reconstruction (wildcard / overflow paths).
     pub rows_verified: usize,
+    /// Verified lines moved into the result instead of rendered again
+    /// (single-search-string queries that missed the query cache).
+    pub lines_reused: usize,
     /// Whether the result came from the query cache.
     pub cache_hit: bool,
     /// For aggregate queries: the most expensive storage layer that
@@ -191,6 +194,7 @@ impl QueryStats {
             stamp_rejections: snap.counter("query.stamp_rejections") as usize,
             groups_skipped: snap.counter("query.groups_skipped") as usize,
             rows_verified: snap.counter("query.rows_verified") as usize,
+            lines_reused: snap.counter("query.lines_reused") as usize,
             cache_hit: snap.counter("query.cache.hits") > 0,
             agg_layer: [
                 AggLayer::Reconstruct,

@@ -2,7 +2,8 @@
 //! overflow, large nominal match sets, outlier scanning, and the wildcard
 //! verification path.
 
-use loggrep::query::lang::Query;
+use loggrep::query::agg::AggResult;
+use loggrep::query::lang::{AggSpec, Query};
 use loggrep::{LogGrep, LogGrepConfig};
 use logparse::DEFAULT_DELIMS;
 
@@ -87,7 +88,10 @@ fn outliers_are_always_found() {
 }
 
 /// Wildcards force candidate verification by reconstruction; stats must
-/// show it and results must stay exact.
+/// show it and results must stay exact. A single search string moves its
+/// verified lines into the result (`lines_reused`); composites, cache hits
+/// and aggregates render as before. `rows_verified` is pinned: keeping
+/// lines must not change how many rows are verified.
 #[test]
 fn wildcard_verification_path() {
     let mut raw = Vec::new();
@@ -99,13 +103,68 @@ fn wildcard_verification_path() {
     }
     let engine = LogGrep::new(LogGrepConfig::default());
     let archive = engine.compress_to_archive(&raw).unwrap();
-    for q in ["/api/v1/*", "status=5*", "items/00*9", "/api/*/items"] {
+    let render = |lines: &[u32]| -> Vec<Vec<u8>> {
+        let all = archive.reconstruct_all().unwrap();
+        lines.iter().map(|&l| all[l as usize].clone()).collect()
+    };
+    // (query, rows verified, whether verified lines are reused)
+    for (q, verified, reuses) in [
+        ("/api/v1/*", 133, true),
+        ("status=5*", 200, true),
+        ("items/00*9", 100, true),
+        ("/api/*/items", 400, true),
+        ("/api/v1/* and status=5*", 333, false),
+        ("/api/v1/* or items/00*9", 233, false),
+        ("/api/* not status=5*", 600, false),
+        // Asked again: answered by the query cache, rendered normally.
+        ("/api/v1/*", 0, false),
+    ] {
         let got = archive.query(q).unwrap();
         assert_eq!(got.lines, oracle(&raw, q), "query `{q}`");
-        if !got.lines.is_empty() {
-            assert!(got.stats.rows_verified >= got.lines.len(), "query `{q}`");
-        }
+        assert_eq!(got.lines, render(&got.line_numbers), "query `{q}`");
+        assert_eq!(got.stats.rows_verified, verified, "query `{q}`");
+        let want_reused = if reuses { got.lines.len() } else { 0 };
+        assert_eq!(got.stats.lines_reused, want_reused, "query `{q}`");
     }
+
+    let agg = archive.query_agg(Some("items/0*9"), &AggSpec::Count).unwrap();
+    assert_eq!(agg.agg, AggResult::Count(oracle(&raw, "items/0*9").len() as u64));
+    assert_eq!(agg.stats.rows_verified, 400);
+    assert_eq!(agg.stats.lines_reused, 0);
+}
+
+/// A literal the planner cannot enumerate (`Matches::Overflow`) is verified
+/// by reconstruction too, and reuses the lines it verified.
+#[test]
+fn overflow_literal_reuses_verified_lines() {
+    // One template of 400 one-digit variables: a keyword spanning several
+    // of them has more possible alignments than the planner's budget.
+    let mut raw = Vec::new();
+    let mut x: u64 = 7;
+    for _ in 0..20 {
+        let tokens: Vec<String> = (0..400)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((x >> 60) % 10).to_string()
+            })
+            .collect();
+        raw.extend_from_slice(format!("{}\n", tokens.join(" ")).as_bytes());
+    }
+    let engine = LogGrep::new(LogGrepConfig::default());
+    let archive = engine.compress_to_archive(&raw).unwrap();
+    let q = "1 2 3";
+    let got = archive.query(q).unwrap();
+    assert_eq!(got.lines, oracle(&raw, q));
+    assert!(!got.lines.is_empty());
+    assert_eq!(got.stats.rows_verified, 20);
+    assert_eq!(got.stats.lines_reused, got.lines.len());
+    let all = archive.reconstruct_all().unwrap();
+    let rendered: Vec<Vec<u8>> = got
+        .line_numbers
+        .iter()
+        .map(|&l| all[l as usize].clone())
+        .collect();
+    assert_eq!(got.lines, rendered);
 }
 
 /// `not` with an empty left side must not evaluate (or fail on) the right.

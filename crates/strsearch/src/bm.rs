@@ -72,6 +72,11 @@ impl BoyerMoore {
         self.needle.len()
     }
 
+    /// The needle's bytes.
+    pub fn needle(&self) -> &[u8] {
+        &self.needle
+    }
+
     /// Finds the first match at or after `from`.
     pub fn find_from(&self, haystack: &[u8], from: usize) -> Option<usize> {
         let m = self.needle.len();

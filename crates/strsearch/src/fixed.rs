@@ -7,6 +7,7 @@
 //! requires several Capsules to agree.
 
 use crate::bm::BoyerMoore;
+use crate::Finder;
 
 /// How a needle must relate to a row's (unpadded) value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,7 +23,8 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Whether `value` satisfies this mode for `needle`.
+    /// Whether `value` satisfies this mode for `needle` (one value; a
+    /// scan over many builds a [`Mode::matcher`] once).
     #[inline]
     pub fn matches(self, value: &[u8], needle: &[u8]) -> bool {
         match self {
@@ -30,6 +32,43 @@ impl Mode {
             Mode::Prefix => value.starts_with(needle),
             Mode::Suffix => value.ends_with(needle),
             Mode::Contains => crate::contains(value, needle),
+        }
+    }
+
+    /// Prepares `(self, needle)` for testing many values: a `Contains`
+    /// matcher builds its [`Finder`] here, once per scan.
+    pub fn matcher(self, needle: &[u8]) -> ModeMatcher<'_> {
+        match self {
+            Mode::Exact => ModeMatcher::Exact(needle),
+            Mode::Prefix => ModeMatcher::Prefix(needle),
+            Mode::Suffix => ModeMatcher::Suffix(needle),
+            Mode::Contains => ModeMatcher::Contains(Finder::new(needle)),
+        }
+    }
+}
+
+/// A [`Mode`] and its needle, prepared once (see [`Mode::matcher`]).
+#[derive(Debug, Clone)]
+pub enum ModeMatcher<'n> {
+    /// [`Mode::Exact`].
+    Exact(&'n [u8]),
+    /// [`Mode::Prefix`].
+    Prefix(&'n [u8]),
+    /// [`Mode::Suffix`].
+    Suffix(&'n [u8]),
+    /// [`Mode::Contains`], with the needle's finder.
+    Contains(Finder),
+}
+
+impl ModeMatcher<'_> {
+    /// Whether `value` satisfies the mode for the needle.
+    #[inline]
+    pub fn matches(&self, value: &[u8]) -> bool {
+        match self {
+            ModeMatcher::Exact(needle) => value == *needle,
+            ModeMatcher::Prefix(needle) => value.starts_with(needle),
+            ModeMatcher::Suffix(needle) => value.ends_with(needle),
+            ModeMatcher::Contains(finder) => finder.contains(value),
         }
     }
 }

@@ -46,6 +46,16 @@ cargo test -q --release --manifest-path suite/Cargo.toml
 ./target/release/difftest --seed 5 --cases 200 --budget-secs 120 \
     --bench-out BENCH_difftest.json
 
+# The same smoke on a seed that rotates with every commit (the low 32 bits
+# of HEAD; 5 outside a git checkout), so each commit fuzzes new wildcard
+# and literal cases. No --bench-out: the committed BENCH_difftest.json
+# stays the fixed-seed record. Reproduce a failure with the echoed seed
+# (or --replay the corpus file it writes).
+head=$(git rev-parse HEAD 2>/dev/null || true)
+if [ -n "$head" ]; then rotating_seed=$((16#${head:32:8})); else rotating_seed=5; fi
+echo "ci: rotating difftest seed ${rotating_seed}"
+./target/release/difftest --seed "$rotating_seed" --cases 200 --budget-secs 120
+
 # Aggregate-oracle smoke: each case runs one aggregate verb (count,
 # count-by-template, top-K, histogram; ~half under a filter) through the
 # same engine matrix and compares the merged multi-block result against a
