@@ -45,17 +45,31 @@ fn stat_report(file: &BlockFile, stored: u64, json: bool) -> String {
     let sizes = sizes.snapshot();
     let ratio = raw as f64 / stored.max(1) as f64;
     let bytes = file.byte_map();
+    // Per block: the group whose line numbers are not stored, and its rows.
+    let implied: Vec<Option<(usize, u32)>> = archives
+        .iter()
+        .map(|a| {
+            let b = a.capsule_box();
+            let g = b.implied_group()?;
+            Some((g, b.groups.get(g)?.rows()))
+        })
+        .collect();
     if json {
+        let implied: Vec<String> = implied
+            .iter()
+            .map(|block| block.map_or("null".to_string(), |(g, _)| g.to_string()))
+            .collect();
         return format!(
             "{{\n  \"blocks\": {},\n  \"lines\": {lines},\n  \"raw_bytes\": {raw},\n  \
              \"stored_bytes\": {stored},\n  \"ratio\": {ratio:.4},\n  \"groups\": {groups},\n  \
              \"capsules\": {capsules},\n  \"capsule_bytes\": {{\"p50\": {}, \"p95\": {}, \
-             \"p99\": {}, \"max\": {}}},\n  \"bytes\": {}\n}}\n",
+             \"p99\": {}, \"max\": {}}},\n  \"implied_group\": [{}],\n  \"bytes\": {}\n}}\n",
             archives.len(),
             sizes.quantile(0.5),
             sizes.quantile(0.95),
             sizes.quantile(0.99),
             sizes.max,
+            implied.join(", "),
             bytes_json(&bytes),
         );
     }
@@ -74,6 +88,15 @@ fn stat_report(file: &BlockFile, stored: u64, json: bool) -> String {
         sizes.quantile(0.99),
         sizes.max,
     ));
+    let implied: Vec<String> = implied
+        .iter()
+        .map(|block| {
+            block.map_or("none".to_string(), |(g, rows)| {
+                format!("g{g} ({rows} rows)")
+            })
+        })
+        .collect();
+    out.push_str(&format!("implied group: {}\n", implied.join(", ")));
     out.push_str("bytes:\n");
     for (section, n) in bytes.sections() {
         let share = 100.0 * n as f64 / stored.max(1) as f64;
@@ -118,6 +141,40 @@ mod tests {
         assert!(text.contains("capsule bytes: p50="), "{text}");
         assert!(text.contains("  line_numbers "), "{text}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn stat_names_the_implied_group() {
+        let engine = LogGrep::new(LogGrepConfig::default());
+        // Log C has one dominant template, Log A no group holding 7/8.
+        for (log, implied) in [("Log C", true), ("Log A", false)] {
+            let raw = workloads::by_name(log).unwrap().generate(13, 48 * 1024);
+            let file = BlockFile::compress(&engine, &raw, raw.len()).unwrap();
+            let stored = file.to_bytes().len() as u64;
+            let boxed = file.blocks()[0].capsule_box();
+            let text = stat_report(&file, stored, false);
+            let json = stat_report(&file, stored, true);
+            let doc = telemetry::json::parse(&json).unwrap();
+            let ids = doc
+                .get("implied_group")
+                .and_then(telemetry::json::Value::as_arr);
+            let ids = ids.unwrap_or_else(|| panic!("{log}: no implied_group array in {json}"));
+            assert_eq!(ids.len(), 1, "{log}: one entry per block");
+            match boxed.implied_group() {
+                Some(g) => {
+                    assert!(implied, "{log}");
+                    let rows = boxed.groups[g].rows();
+                    let line = format!("implied group: g{g} ({rows} rows)\n");
+                    assert!(text.contains(&line), "{log}: {text}");
+                    assert_eq!(ids[0].as_num(), Some(g as f64), "{log}: {json}");
+                }
+                None => {
+                    assert!(!implied, "{log}");
+                    assert!(text.contains("implied group: none\n"), "{log}: {text}");
+                    assert!(json.contains("\"implied_group\": [null]"), "{log}: {json}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,24 @@ const MAGIC: &[u8; 4] = b"LGRB";
 /// trailer and requires the metadata stream to be fully consumed.
 /// Version 3 added per-value occurrence counts to nominal vector
 /// metadata (aggregate pushdown reads them instead of the Capsules).
-const VERSION: u8 = 3;
+/// Version 4 stores no line numbers for the implied group
+/// ([`CapsuleBox::implied_group`]): open rebuilds them as the lines no
+/// other group claims.
+const VERSION: u8 = 4;
+
+/// A block's largest group is implied when the other groups together hold
+/// at most `1 / IMPLIED_MINORITY_DIVISOR` of its lines. The larger the
+/// minority, the less filling the complement at open saves over decoding
+/// the varints; 1/8 stays clear of the measured break-even (DESIGN.md
+/// "CapsuleBox format" has the sweep).
+const IMPLIED_MINORITY_DIVISOR: u64 = 8;
+
+/// An implied box may claim at most this many lines per body byte: its
+/// group's line numbers are allocated from a header field, not from bytes
+/// read, so open refuses a larger claim before allocating. The catalog
+/// stores at most ~0.35 lines per byte; a box past the bound (e.g. a
+/// million identical slotless lines) is written explicit.
+const MAX_IMPLIED_LINES_PER_BYTE: u64 = 16;
 
 /// Metadata of one group (all entries of one static pattern).
 #[derive(Debug, Clone)]
@@ -58,6 +75,16 @@ fn write_template(w: &mut Writer, template: &Template) {
     }
 }
 
+/// A group's line-number column: the row count, then (unless the group is
+/// implied) the ascending line numbers as deltas.
+fn write_line_numbers(w: &mut Writer, line_numbers: &[u32], implied: bool) {
+    if implied {
+        w.put_usize(line_numbers.len());
+    } else {
+        w.put_ascending_u32s(line_numbers);
+    }
+}
+
 /// A group's vector count, then each vector's metadata.
 fn write_vectors(w: &mut Writer, vectors: &[VectorMeta]) {
     w.put_usize(vectors.len());
@@ -91,11 +118,13 @@ fn write_capsule_table(w: &mut Writer, capsules: &[CapsuleMeta]) {
 /// `.lgb` file ([`crate::BlockFile::byte_map`]) go, section by section.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ByteMap {
-    /// Magic, version, flags, line and byte counts, group count.
+    /// Magic, version, flags, line and byte counts, group count, implied
+    /// group.
     pub header: u64,
     /// Static patterns: each group's pieces.
     pub templates: u64,
-    /// Each group's line-number column: count and delta varints.
+    /// Each group's line-number column: count and delta varints (the
+    /// implied group's count alone).
     pub line_numbers: u64,
     /// Runtime patterns of real vectors and dictionary patterns, with
     /// their sub-variable stamps.
@@ -195,13 +224,41 @@ impl CapsuleBox {
         self.to_bytes().len()
     }
 
+    /// The group whose line numbers [`Self::to_bytes`] leaves out, because
+    /// they are exactly the lines no other group claims: the largest group
+    /// (the lowest id among equals, so the choice is a function of the
+    /// box), when the others together hold at most an eighth of the block's
+    /// lines and the payload region alone keeps the box within 16 lines per
+    /// byte (`MAX_IMPLIED_LINES_PER_BYTE`; the payload is a lower bound of
+    /// the body the reader measures). `None` writes every column explicit.
+    pub fn implied_group(&self) -> Option<usize> {
+        // `max_by_key` keeps the last of equal maxima; reversed, the lowest id.
+        let (gid, largest) = self
+            .groups
+            .iter()
+            .enumerate()
+            .rev()
+            .max_by_key(|(_, g)| g.line_numbers.len())?;
+        let rows: u64 = self
+            .groups
+            .iter()
+            .map(|g| g.line_numbers.len() as u64)
+            .sum();
+        let others = rows.saturating_sub(largest.line_numbers.len() as u64);
+        let lines = u64::from(self.total_lines);
+        let minority = others.saturating_mul(IMPLIED_MINORITY_DIVISOR) <= lines;
+        let bounded = lines <= MAX_IMPLIED_LINES_PER_BYTE.saturating_mul(self.blob.len() as u64);
+        (minority && bounded).then_some(gid)
+    }
+
     /// Serializes the box.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        self.write_header(&mut w);
-        for g in &self.groups {
+        let implied = self.implied_group();
+        self.write_header(&mut w, implied);
+        for (gid, g) in self.groups.iter().enumerate() {
             write_template(&mut w, &g.template);
-            w.put_ascending_u32s(&g.line_numbers);
+            write_line_numbers(&mut w, &g.line_numbers, implied == Some(gid));
             write_vectors(&mut w, &g.vectors);
         }
         write_capsule_table(&mut w, &self.capsules);
@@ -212,14 +269,16 @@ impl CapsuleBox {
         bytes
     }
 
-    /// Magic, version, flags, line and byte counts, group count.
-    fn write_header(&self, w: &mut Writer) {
+    /// Magic, version, flags, line and byte counts, group count, then the
+    /// implied group's id (the group count for none).
+    fn write_header(&self, w: &mut Writer, implied: Option<usize>) {
         w.put_raw(MAGIC);
         w.put_u8(VERSION);
         w.put_bool(self.fixed_length);
         w.put_u32(self.total_lines);
         w.put_u64(self.raw_size);
         w.put_usize(self.groups.len());
+        w.put_usize(implied.unwrap_or(self.groups.len()));
     }
 
     /// Where [`Self::to_bytes`]' bytes go: each section is serialized on
@@ -232,14 +291,16 @@ impl CapsuleBox {
             write(&mut w);
             w.len() as u64
         }
+        let implied = self.implied_group();
         let mut map = ByteMap {
-            header: measure(|w| self.write_header(w)),
+            header: measure(|w| self.write_header(w, implied)),
             checksum: 4,
             ..ByteMap::default()
         };
-        for g in &self.groups {
+        for (gid, g) in self.groups.iter().enumerate() {
             map.templates += measure(|w| write_template(w, &g.template));
-            map.line_numbers += measure(|w| w.put_ascending_u32s(&g.line_numbers));
+            map.line_numbers +=
+                measure(|w| write_line_numbers(w, &g.line_numbers, implied == Some(gid)));
             let mut vectors = measure(|w| write_vectors(w, &g.vectors));
             for v in &g.vectors {
                 let (patterns, outliers, counts) = match v {
@@ -297,7 +358,7 @@ impl CapsuleBox {
     /// Returns [`Error::Corrupt`] on truncation, bad magic, a CRC-32
     /// trailer mismatch, or structural inconsistencies (e.g. capsule
     /// payload ranges outside the blob, group rows not summing to
-    /// `total_lines`).
+    /// `total_lines`, two groups of an implied box claiming one line).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let _open = telemetry::span("open");
         telemetry::counter!("open.bytes", bytes.len() as u64);
@@ -333,8 +394,24 @@ impl CapsuleBox {
         let raw_size = r.get_u64()?;
 
         let ngroups = r.get_len(r.remaining())?;
+        let implied = r.get_usize()?;
+        if implied > ngroups {
+            return Err(Error::Corrupt("implied group out of range".into()));
+        }
+        // The implied group is filled from `total_lines`, not from bytes
+        // read: an absurd claim is refused before anything is allocated.
+        if implied < ngroups
+            && u64::from(total_lines) > MAX_IMPLIED_LINES_PER_BYTE.saturating_mul(body.len() as u64)
+        {
+            return Err(Error::Corrupt(
+                "implied lines exceed the body's bound".into(),
+            ));
+        }
+        // Stored row count of the implied group; its `line_numbers` stay
+        // empty until every explicit column has been read and checked.
+        let mut implied_rows = 0u32;
         let mut groups = Vec::with_capacity(ngroups);
-        for _ in 0..ngroups {
+        for gid in 0..ngroups {
             let npieces = r.get_len(r.remaining())?;
             let mut pieces = Vec::with_capacity(npieces);
             let mut next_slot = 0usize;
@@ -353,7 +430,12 @@ impl CapsuleBox {
                 }
             }
             let template = Template::from_pieces(pieces);
-            let line_numbers = r.get_ascending_u32s()?;
+            let line_numbers = if gid == implied {
+                implied_rows = r.get_u32()?;
+                Vec::new()
+            } else {
+                r.get_ascending_u32s()?
+            };
             let nvec = r.get_len(r.remaining())?;
             if nvec != template.slots() {
                 return Err(Error::Corrupt("vector/slot mismatch".into()));
@@ -416,8 +498,12 @@ impl CapsuleBox {
             codec_by_id(c.codec)?;
         }
         let mut rows_total = 0u64;
-        for g in &groups {
-            let rows = g.rows();
+        for (gid, g) in groups.iter().enumerate() {
+            let rows = if gid == implied {
+                implied_rows
+            } else {
+                g.rows()
+            };
             rows_total += u64::from(rows);
             for v in &g.vectors {
                 for cid in v.capsules() {
@@ -468,7 +554,7 @@ impl CapsuleBox {
             }
             // Line numbers are ascending by wire construction; they must
             // also be strictly ascending (each row is a distinct line)
-            // and in range.
+            // and in range. (The implied group's column is still empty.)
             if !strictly_ascending(&g.line_numbers) {
                 return Err(Error::Corrupt("duplicate line numbers".into()));
             }
@@ -482,6 +568,12 @@ impl CapsuleBox {
         // to `total_lines`; `Archive::line_index` sizes its table by it.
         if rows_total != u64::from(total_lines) {
             return Err(Error::Corrupt("group rows do not sum to total_lines".into()));
+        }
+        if implied < ngroups {
+            let lines = unclaimed_lines(&groups, total_lines, implied_rows)?;
+            if let Some(g) = groups.get_mut(implied) {
+                g.line_numbers = lines;
+            }
         }
 
         Ok(Self {
@@ -676,7 +768,7 @@ impl Archive {
     /// The line-number → (group, row) map, built on first use.
     pub(crate) fn line_index(&self) -> &[(u32, u32)] {
         self.line_index.get_or_init(|| {
-            // lint:allow(no-untrusted-prealloc) — from_bytes enforces Σ group rows == total_lines, so this allocation is bounded by the archive's actual row count
+            // lint:allow(no-untrusted-prealloc) — from_bytes enforces Σ group rows == total_lines, and every row was either read from the body (explicit columns) or filled under total_lines <= MAX_IMPLIED_LINES_PER_BYTE × body length (implied group), so this is bounded by the bytes opened
             let mut index = vec![(u32::MAX, u32::MAX); self.boxed.total_lines as usize];
             for (gid, g) in self.boxed.groups.iter().enumerate() {
                 for (row, &lineno) in g.line_numbers.iter().enumerate() {
@@ -762,6 +854,86 @@ fn strictly_ascending(values: &[u32]) -> bool {
         .iter()
         .zip(values.iter().skip(1))
         .fold(true, |ok, (a, b)| ok & (a < b))
+}
+
+/// The implied group's line numbers: every line below `total_lines` that no
+/// group in `groups` claims (the implied group's own column is empty), in
+/// ascending order. The explicit columns are checked in range and summed
+/// with `rows` to `total_lines` before this runs, so more unclaimed lines
+/// than `rows` can only mean two groups claim one line.
+fn unclaimed_lines(groups: &[GroupMeta], total_lines: u32, rows: u32) -> Result<Vec<u32>> {
+    let lines =
+        usize::try_from(total_lines).map_err(|_| Error::Corrupt("line count overflow".into()))?;
+    let mut taken = vec![0u64; lines.div_ceil(64)];
+    for &line in groups.iter().flat_map(|g| &g.line_numbers) {
+        if let Some(word) = taken.get_mut(line as usize / 64) {
+            *word |= 1 << (line % 64);
+        }
+    }
+    // The lines past the end of the last word are no one's to fill.
+    if let (Some(last), 1..) = (taken.last_mut(), lines % 64) {
+        *last |= u64::MAX << (lines % 64);
+    }
+    let free: usize = taken.iter().map(|w| w.count_zeros() as usize).sum();
+    if free != rows as usize {
+        return Err(Error::Corrupt("two groups claim one line".into()));
+    }
+    let mut out = Vec::with_capacity(free);
+    push_unclaimed(&taken, &mut out);
+    Ok(out)
+}
+
+/// `SET_BITS[b]`: the positions of byte `b`'s set bits, ascending, padded
+/// to eight, and how many there are.
+const SET_BITS: [([u8; 8], u8); 256] = {
+    let mut table = [([0u8; 8], 0u8); 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut positions, mut count, mut bit) = (0u64, 0u8, 0);
+        while bit < 8 {
+            if byte >> bit & 1 != 0 {
+                positions |= (bit as u64) << (8 * count);
+                count += 1;
+            }
+            bit += 1;
+        }
+        table[byte] = (positions.to_le_bytes(), count); // lint:allow(no-panic-in-decode) — const-evaluated; byte < 256 by the loop bound
+        byte += 1;
+    }
+    table
+};
+
+/// Appends, ascending, the index of every clear bit of `taken` (bit `i % 64`
+/// of word `i / 64` is line `i`). A word with no bit set is one 64-line
+/// range and a word with every bit set is skipped; a mixed word goes a byte
+/// at a time through [`SET_BITS`], always writing eight candidates into a
+/// stack buffer and keeping as many as the byte has free lines.
+fn push_unclaimed(taken: &[u64], out: &mut Vec<u32>) {
+    // 56 kept candidates at most before the last byte writes its eight.
+    let mut buf = [0u32; 72];
+    for (i, &word) in taken.iter().enumerate() {
+        let base = (i as u32) << 6;
+        match !word {
+            0 => {}
+            u64::MAX => out.extend(base..base + 64),
+            free => {
+                let mut kept = 0;
+                for (j, byte) in free.to_le_bytes().into_iter().enumerate() {
+                    let (Some((positions, count)), Some(slots)) =
+                        (SET_BITS.get(usize::from(byte)), buf.get_mut(kept..kept + 8))
+                    else {
+                        continue;
+                    };
+                    let at = base + 8 * j as u32;
+                    for (slot, &p) in slots.iter_mut().zip(positions) {
+                        *slot = at + u32::from(p);
+                    }
+                    kept += usize::from(*count);
+                }
+                out.extend_from_slice(buf.get(..kept).unwrap_or_default());
+            }
+        }
+    }
 }
 
 /// Builds a `TypeMask` summary over a whole group's static text — used by
@@ -873,5 +1045,102 @@ mod tests {
             CapsuleBox::from_bytes(&bytes),
             Err(Error::Corrupt(_))
         ));
+    }
+
+    /// A box of slotless groups with these line-number columns over
+    /// `total_lines`, and a payload region of `blob` bytes.
+    fn columns_box(columns: &[Vec<u32>], total_lines: u32, blob: usize) -> CapsuleBox {
+        CapsuleBox {
+            groups: columns
+                .iter()
+                .enumerate()
+                .map(|(gid, lines)| GroupMeta {
+                    template: Template::from_pieces(vec![Piece::Static(
+                        format!("t{gid}").into_bytes(),
+                    )]),
+                    line_numbers: lines.clone(),
+                    vectors: Vec::new(),
+                })
+                .collect(),
+            capsules: Vec::new(),
+            blob: vec![0; blob],
+            total_lines,
+            raw_size: 0,
+            fixed_length: true,
+        }
+    }
+
+    /// Splits `0..total` into two columns, the second taking every
+    /// `stride`-th line.
+    fn two_columns(total: u32, stride: u32) -> Vec<Vec<u32>> {
+        let (minor, major) = (0..total).partition(|l| l % stride == 0);
+        vec![major, minor]
+    }
+
+    #[test]
+    fn implied_group_rule() {
+        // The minority at exactly 1/8 is implied, just above it is not.
+        let at = columns_box(&two_columns(64, 8), 64, 64);
+        assert_eq!(at.implied_group(), Some(0));
+        let above = columns_box(&two_columns(63, 7), 63, 64);
+        assert_eq!(above.implied_group(), None);
+        // The largest group wins wherever it sits, the lowest id on a tie.
+        let [major, minor] = <[Vec<u32>; 2]>::try_from(two_columns(64, 8)).unwrap();
+        let swapped = columns_box(&[minor, major], 64, 64);
+        assert_eq!(swapped.implied_group(), Some(1));
+        let tied = columns_box(&[vec![], vec![]], 0, 0);
+        assert_eq!(tied.implied_group(), Some(0));
+        assert_eq!(columns_box(&[], 0, 0).implied_group(), None);
+        // The payload region must cover a sixteenth of the lines.
+        let lines = vec![(0..1600).collect::<Vec<u32>>()];
+        assert_eq!(columns_box(&lines, 1600, 100).implied_group(), Some(0));
+        assert_eq!(columns_box(&lines, 1600, 99).implied_group(), None);
+        for boxed in [at, above, swapped, columns_box(&lines, 1600, 99)] {
+            let got = CapsuleBox::from_bytes(&boxed.to_bytes()).unwrap();
+            for (g, want) in got.groups.iter().zip(&boxed.groups) {
+                assert_eq!(g.line_numbers, want.line_numbers);
+            }
+        }
+    }
+
+    /// A seeded xorshift generator.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    #[test]
+    fn table_fill_equals_the_naive_complement() {
+        let mut next = xorshift(0x0DDB_1A5E_5BAD_5EED);
+        for total in [0usize, 1, 63, 64, 65, 129, 40_000] {
+            // All taken, none taken, then taken with probability 1/2, 7/8,
+            // 63/64 and 999/1000.
+            for density in [None, Some(0), Some(2), Some(8), Some(64), Some(1000)] {
+                let mut taken_line = |_: usize| match density {
+                    None => true,
+                    Some(0) => false,
+                    Some(d) => !next().is_multiple_of(d),
+                };
+                let mut taken = vec![0u64; total.div_ceil(64)];
+                let mut want = Vec::new();
+                for line in 0..total {
+                    if taken_line(line) {
+                        taken[line / 64] |= 1 << (line % 64);
+                    } else {
+                        want.push(line as u32);
+                    }
+                }
+                if let (Some(last), 1..) = (taken.last_mut(), total % 64) {
+                    *last |= u64::MAX << (total % 64);
+                }
+                let mut got = Vec::new();
+                push_unclaimed(&taken, &mut got);
+                assert_eq!(got, want, "total {total} density {density:?}");
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic corrupt-archive mutation suite.
 //!
-//! Four mutation families over one serialized CapsuleBox:
+//! Five mutation families over serialized CapsuleBoxes:
 //!
 //! 1. **truncation** at every cut point — `from_bytes` must return an error;
 //! 2. **whole-file bit flips** — any single flipped bit must be caught by
@@ -16,7 +16,12 @@
 //!    Capsule payloads shorter than their group, Capsule row counts — each
 //!    re-serialized with a valid CRC: reading every line back must end in
 //!    `Error::Corrupt`, never a panic, an out-of-bounds slice or a
-//!    quietly wrong line.
+//!    quietly wrong line;
+//! 5. **implied boxes**, whose largest group's line numbers are rebuilt at
+//!    open: an implied id past the group count, a wrong implied row count,
+//!    two groups claiming one line, and a tiny body claiming `u32::MAX`
+//!    lines are each a named `Error::Corrupt` at open; an implied catalog
+//!    box survives every cut and seeded flips like any other.
 //!
 //! All randomness is a seeded xorshift, so failures reproduce exactly.
 
@@ -337,4 +342,192 @@ fn lies_in_the_fields_the_renderer_reads_end_in_corrupt() {
         Ok(lines) => assert_eq!(lines.len(), 400),
         Err(e) => assert!(matches!(e, Error::Corrupt(_)), "lying row counts: {e}"),
     }
+}
+
+/// One template holds 90 % of the lines, two small ones the rest: a box
+/// whose largest group is implied, with two explicit groups beside it.
+fn implied_log() -> Vec<u8> {
+    let mut out = Vec::new();
+    for i in 0..480 {
+        let line = match i % 20 {
+            6 => format!("ERROR disk {} failed on node-{}", i % 5, i % 3),
+            14 => format!(
+                "WARN scheduler queue drained after {} retries of job-{i} at tier {}",
+                i % 4,
+                i % 2
+            ),
+            _ => format!("INFO served request {} in {} ms", 1000 + i, i % 97),
+        };
+        out.extend_from_slice(line.as_bytes());
+        out.push(b'\n');
+    }
+    out
+}
+
+/// An implied box, its implied group's id, and the two largest explicit
+/// groups' ids.
+fn implied_box() -> (CapsuleBox, usize, [usize; 2]) {
+    let boxed = LogGrep::new(LogGrepConfig::default())
+        .compress(&implied_log())
+        .unwrap();
+    let implied = boxed.implied_group().expect("one template dominates");
+    let mut explicit: Vec<usize> = (0..boxed.groups.len()).filter(|&g| g != implied).collect();
+    explicit.sort_by_key(|&g| std::cmp::Reverse(boxed.groups[g].rows()));
+    assert!(
+        explicit.len() >= 2 && boxed.groups[explicit[1]].rows() > 0,
+        "want two explicit groups, got {:?}",
+        explicit
+            .iter()
+            .map(|&g| boxed.groups[g].rows())
+            .collect::<Vec<_>>()
+    );
+    (boxed, implied, [explicit[0], explicit[1]])
+}
+
+/// Opening must fail `Corrupt` for one of `reasons`.
+fn refused(what: &str, bytes: &[u8], reasons: &[&str]) {
+    match Archive::from_bytes(bytes) {
+        Err(Error::Corrupt(got)) => assert!(reasons.contains(&got.as_str()), "{what}: {got}"),
+        Err(e) => panic!("{what}: open failed with {e}"),
+        Ok(a) => panic!("{what}: opened with {} lines", a.total_lines()),
+    }
+}
+
+#[test]
+fn hostile_implied_boxes_end_in_typed_errors() {
+    let (honest, implied, [a, b]) = implied_box();
+    let bytes = honest.to_bytes();
+    assert!(Archive::from_bytes(&bytes).is_ok());
+
+    // The implied-group varint follows magic, version, flags, line count,
+    // byte count and group count; it is rewritten to name no group.
+    let mut r = loggrep::wire::Reader::new(&bytes);
+    r.get_raw(6).unwrap();
+    r.get_u32().unwrap();
+    r.get_u64().unwrap();
+    let ngroups = r.get_usize().unwrap();
+    let at = r.position();
+    assert_eq!(r.get_usize().unwrap(), implied);
+    for id in [ngroups + 1, ngroups + 1000, u32::MAX as usize] {
+        let mut w = loggrep::wire::Writer::new();
+        w.put_raw(&bytes[..at]);
+        w.put_usize(id);
+        w.put_raw(&bytes[r.position()..bytes.len() - 4]);
+        let mut mutant = w.into_bytes();
+        mutant.extend_from_slice(&crc32(&mutant).to_le_bytes());
+        refused(
+            &format!("implied id {id}"),
+            &mutant,
+            &["implied group out of range"],
+        );
+    }
+
+    // A stored row count one short or one over `total_lines − Σ explicit`:
+    // the group's dictionaries (checked first) or the block's line count
+    // disagree with it.
+    let rows_lie = [
+        "dictionary value counts do not sum to rows",
+        "group rows do not sum to total_lines",
+    ];
+    let mut lying = honest.clone();
+    lying.groups[implied].line_numbers.pop();
+    refused("implied rows − 1", &lying.to_bytes(), &rows_lie);
+    let mut lying = honest.clone();
+    lying.groups[implied].line_numbers.push(u32::MAX);
+    refused("implied rows + 1", &lying.to_bytes(), &rows_lie);
+
+    // Group `a` gives up its first line and claims one of `b`'s instead:
+    // the rows still sum, but two groups claim a line and one line is no
+    // one's. Before the implied group this surfaced only at query time.
+    let mut lying = honest.clone();
+    let stolen = honest.groups[b].line_numbers[0];
+    let lines = &mut lying.groups[a].line_numbers;
+    lines.remove(0);
+    lines.push(stolen);
+    lines.sort_unstable();
+    lines.dedup();
+    assert_eq!(
+        lines.len(),
+        honest.groups[a].line_numbers.len(),
+        "line {stolen} was already a's"
+    );
+    assert_eq!(lying.implied_group(), Some(implied));
+    refused("overlap", &lying.to_bytes(), &["two groups claim one line"]);
+}
+
+#[test]
+fn a_tiny_body_claiming_every_line_is_refused_before_allocating() {
+    // One slotless group of u32::MAX implied rows in a 26-byte body: the
+    // lines-per-byte bound refuses it before the 512 MiB bitset or the
+    // 16 GiB column is allocated (it is checked first, and named).
+    let mut w = loggrep::wire::Writer::new();
+    w.put_raw(b"LGRB");
+    w.put_u8(4);
+    w.put_bool(true);
+    w.put_u32(u32::MAX);
+    w.put_u64(0);
+    w.put_usize(1); // groups
+    w.put_usize(0); // the implied group
+    w.put_usize(1); // one static piece
+    w.put_u8(0);
+    w.put_bytes(b"x");
+    w.put_u32(u32::MAX); // its row count
+    w.put_usize(0); // vectors
+    w.put_usize(0); // capsules
+    w.put_bytes(b""); // payload region
+    let mut bomb = w.into_bytes();
+    assert_eq!(bomb.len(), 26);
+    bomb.extend_from_slice(&crc32(&bomb).to_le_bytes());
+    refused(
+        "u32::MAX lines",
+        &bomb,
+        &["implied lines exceed the body's bound"],
+    );
+}
+
+#[test]
+fn implied_catalog_box_survives_cuts_and_flips() {
+    let raw = workloads::by_name("Android")
+        .unwrap()
+        .generate(13, 48 * 1024);
+    let boxed = LogGrep::new(LogGrepConfig::default())
+        .compress(&raw)
+        .unwrap();
+    assert!(boxed.implied_group().is_some(), "Android is implied");
+    let (bytes, lines) = (boxed.to_bytes(), boxed.total_lines);
+    for cut in 0..bytes.len() {
+        assert!(Archive::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+    }
+    let mut rng = XorShift(0x1A7E_D00D_CAFE_F00D);
+    let mut opened = 0u32;
+    for _ in 0..256 {
+        let mut mutant = bytes.clone();
+        let off = rng.below(bytes.len() - 4);
+        mutant[off] ^= 1u8 << rng.below(8);
+        restamp(&mut mutant);
+        if exercise(&mutant, lines) {
+            opened += 1;
+        }
+    }
+    assert!(
+        opened > 0,
+        "no mutant survived validation; suite is vacuous"
+    );
+}
+
+#[test]
+fn a_million_identical_slotless_lines_stay_explicit() {
+    // One static template, no Capsules, no payload: 1 M lines cannot be
+    // implied within 16 lines per body byte, so the box keeps its explicit
+    // column — version 3's 1 000 047 bytes plus the one header varint.
+    let raw = b"service heartbeat ok\n".repeat(1_000_000);
+    let boxed = LogGrep::new(LogGrepConfig::default())
+        .compress(&raw)
+        .unwrap();
+    assert_eq!((boxed.groups.len(), boxed.blob.len()), (1, 0));
+    assert_eq!(boxed.implied_group(), None);
+    let bytes = boxed.to_bytes();
+    assert_eq!(bytes.len(), 1_000_048);
+    let opened = CapsuleBox::from_bytes(&bytes).unwrap();
+    assert_eq!(opened.groups[0].line_numbers, boxed.groups[0].line_numbers);
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: release build, one static-analysis run, the workspace test suite
 # at two worker-pool sizes, clippy with warnings denied, the benchmark
-# package's own tests, the three differential-fuzzing smokes and (where
+# package's own tests, the three differential-fuzzing smokes (the line and
+# aggregate smokes also on a seed that rotates with HEAD) and (where
 # installed) Miri. No step measures performance: `suite` (BENCHMARK.json)
 # does, as parent/change pairs. The only files under version control a run
 # rewrites are BENCH_{lint,difftest,aggregates,cluster_faults}.json. Run
@@ -65,6 +66,13 @@ echo "ci: rotating difftest seed ${rotating_seed}"
 # BENCH_aggregates.json records cases and decompression checks.
 ./target/release/difftest --aggregates --seed 5 --cases 60 \
     --budget-secs 120 --bench-out BENCH_aggregates.json
+
+# The same aggregate smoke on the rotating seed (echoed above), without
+# --bench-out. `count-by-template` and `histogram` read each group's row
+# count and line numbers, which open rebuilds for a block's implied group.
+echo "ci: rotating aggregates seed ${rotating_seed}"
+./target/release/difftest --aggregates --seed "$rotating_seed" --cases 60 \
+    --budget-secs 120
 
 # Cluster-under-faults oracle smoke: bounded seeded sweeps where each case
 # ingests a generated log into a replicated cluster over a seeded fault
