@@ -13,13 +13,7 @@
 //! * `gen <log-name> <bytes> [seed]` — emit a synthetic workload log;
 //! * `trace <archive.lgb> <command>` — run a query with the trace journal
 //!   on, emitting a Chrome trace-event file for Perfetto /
-//!   `chrome://tracing` and/or flamegraph-collapsed stacks;
-//! * `serve-metrics <addr>` — serve `/metrics` (Prometheus text),
-//!   `/healthz`, and `/trace/last.json` over plain HTTP;
-//! * `cluster <log-name> <bytes> <command> [seed]` — fault-tolerance demo:
-//!   ingest a synthetic log into a replicated in-process cluster over a
-//!   seeded simulated network, then run the query healthy, with a crashed
-//!   node (replicas cover it), and with a partition (partial results).
+//!   `chrome://tracing` and/or flamegraph-collapsed stacks.
 //!
 //! Global flags, accepted anywhere on the command line:
 //!
@@ -39,7 +33,7 @@
 #![deny(missing_docs)]
 
 mod compress;
-mod demo;
+mod gen;
 mod query;
 mod stat;
 mod trace;
@@ -164,9 +158,7 @@ fn dispatch(args: &[String], flags: &Flags) -> Result<(), String> {
             stat::explain_file(archive, command)
         }
         "trace" => trace::trace_cmd(rest),
-        "serve-metrics" => trace::serve_metrics_cmd(rest),
-        "cluster" => demo::cluster_demo(rest),
-        "gen" => demo::gen_log(rest),
+        "gen" => gen::gen_log(rest),
         "help" => {
             print!("{}", usage());
             Ok(())
@@ -194,13 +186,6 @@ pub fn usage() -> String {
      \x20                                             run a query with the trace journal on;\n\
      \x20                                             emit Chrome trace-event JSON (Perfetto /\n\
      \x20                                             chrome://tracing) and collapsed stacks\n\
-     \x20 loggrep serve-metrics <addr> [seconds]      serve /metrics (Prometheus), /healthz,\n\
-     \x20                                             and /trace/last.json over HTTP\n\
-     \x20 loggrep cluster <log-name> <bytes> <command> [seed]\n\
-     \x20                                             fault-tolerance demo: query a replicated\n\
-     \x20                                             in-process cluster healthy, with a node\n\
-     \x20                                             crashed, and with a partition (partial\n\
-     \x20                                             results)\n\
      \n\
      GLOBAL FLAGS:\n\
      \x20 --trace          print a per-stage timing/counter breakdown to stderr;\n\
@@ -250,14 +235,31 @@ fn human(bytes: u64) -> String {
 mod tests {
     use super::*;
 
+    /// Every `loggrep <verb>` line of the help text names a verb that
+    /// dispatches: called bare, it asks for its arguments rather than
+    /// being an unknown subcommand. Retired verbs are unknown.
     #[test]
-    fn usage_lists_subcommands() {
+    fn usage_verbs_dispatch() {
+        let flags = Flags::default();
+        let run = |verb: &str| dispatch(&[verb.to_string()], &flags);
         let u = usage();
-        for cmd in [
-            "compress", "query", "stat", "stats", "explain", "gen", "trace", "serve-metrics",
-            "cluster", "--trace", "--trace-out", "--json", "--agg", "count-by-template",
-        ] {
-            assert!(u.contains(cmd), "missing {cmd}");
+        let verbs: Vec<&str> = u
+            .lines()
+            .filter_map(|l| l.strip_prefix("  loggrep "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert!(verbs.len() >= 6, "too few verbs parsed: {verbs:?}");
+        for verb in verbs.into_iter().chain(["stats"]) {
+            let err = run(verb).expect_err(verb);
+            assert!(err.starts_with("expected arguments"), "{verb}: {err}");
+        }
+        assert_eq!(run("help"), Ok(()));
+        for retired in ["cluster", "serve-metrics"] {
+            let err = run(retired).expect_err(retired);
+            assert!(err.starts_with("unknown subcommand"), "{retired}: {err}");
+        }
+        for flag in ["--trace", "--trace-out", "--json", "--agg"] {
+            assert!(u.contains(flag), "usage misses {flag}");
         }
     }
 

@@ -29,8 +29,8 @@ fn stat_report(file: &BlockFile, stored: u64, json: bool) -> String {
     let mut raw = 0u64;
     let mut groups = 0usize;
     let mut capsules = 0usize;
-    // Pow2-bucket histogram over compressed capsule sizes, so stat reports
-    // the same p50/p95/p99 summaries the live `/metrics` endpoint serves.
+    // Pow2-bucket histogram over compressed capsule sizes: the same
+    // `HistogramSnapshot` quantiles the trace footer prints for spans.
     let sizes = telemetry::Histogram::new();
     for a in archives {
         let b = a.capsule_box();

@@ -1,4 +1,4 @@
-//! `trace <archive.lgb> <command>` and `serve-metrics <addr>`.
+//! `trace <archive.lgb> <command>`.
 
 use loggrep::BlockFile;
 
@@ -54,37 +54,5 @@ pub(crate) fn trace_cmd(args: &[String]) -> Result<(), String> {
         eprintln!("collapsed stacks -> {path}");
     }
     eprintln!("({total} matching line(s))");
-    Ok(())
-}
-
-/// `serve-metrics <addr> [seconds]`: binds the std-only HTTP exporter and
-/// serves `/metrics`, `/healthz`, and `/trace/last.json` until killed (or
-/// for `seconds`, mainly for scripted smoke tests). Telemetry and the trace
-/// journal are enabled so the endpoints have live data.
-pub(crate) fn serve_metrics_cmd(args: &[String]) -> Result<(), String> {
-    let (addr, secs) = match args {
-        [addr] => (addr.as_str(), None),
-        [addr, secs] => (
-            addr.as_str(),
-            Some(
-                secs.parse::<u64>()
-                    .map_err(|_| format!("bad duration `{secs}`"))?,
-            ),
-        ),
-        _ => return Err("expected arguments: serve-metrics <addr> [seconds]".to_string()),
-    };
-    telemetry::set_enabled(true);
-    telemetry::set_journal_enabled(true);
-    let server = telemetry::MetricsServer::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    println!(
-        "serving /metrics /healthz /trace/last.json on http://{}",
-        server.local_addr()
-    );
-    match secs {
-        Some(s) => std::thread::sleep(std::time::Duration::from_secs(s)),
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
-    }
     Ok(())
 }

@@ -26,17 +26,15 @@
 //! Everything is seeded and std-only: the same `--seed` reproduces the
 //! same cases byte for byte.
 //!
-//! Two sibling modes reuse the generators: [`cluster_faults`] checks the
-//! replicated cluster's partial-results contract under seeded fault
-//! schedules, and [`aggregates`] cross-checks the aggregate sink (`count`,
-//! `count-by-template`, `top-K`, `histogram`) against a naive raw-line
-//! oracle plus the zero-decompression pushdown contract.
+//! A sibling mode reuses the generators: [`aggregates`] cross-checks the
+//! aggregate sink (`count`, `count-by-template`, `top-K`, `histogram`)
+//! against a naive raw-line oracle plus the zero-decompression pushdown
+//! contract.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod aggregates;
-pub mod cluster_faults;
 pub mod corpus;
 pub mod genlog;
 pub mod harness;

@@ -4,18 +4,14 @@
 //! ```text
 //! difftest --seed N --cases M [--threads 1,4] [--no-baselines]
 //!          [--corpus-dir DIR] [--bench-out FILE] [--budget-secs S]
-//!          [--replay FILE] [--cluster-faults] [--aggregates]
+//!          [--replay FILE] [--aggregates]
 //! ```
-//!
-//! `--cluster-faults` switches to the cluster-under-faults mode: each case
-//! ingests a generated log into a replicated cluster over a seeded fault
-//! schedule and checks the partial-results contract against the oracle
-//! (see [`difftest::cluster_faults`]).
 //!
 //! `--aggregates` switches to the aggregate mode: each case runs one
 //! aggregate verb (optionally under a filter) through every engine config
-//! and compares the merged result against a naive raw-line oracle, plus the zero-decompression pushdown and cache
-//! contracts (see [`difftest::aggregates`]).
+//! and compares the merged result against a naive raw-line oracle, plus
+//! the zero-decompression pushdown and cache contracts (see
+//! [`difftest::aggregates`]).
 //!
 //! Stdout is deterministic for a given seed and case count (timings go
 //! only to the `--bench-out` JSON), so two runs with the same arguments
@@ -43,7 +39,6 @@ struct Args {
     bench_out: Option<String>,
     budget_secs: Option<u64>,
     replay: Option<String>,
-    cluster_faults: bool,
     aggregates: bool,
 }
 
@@ -57,7 +52,6 @@ fn parse_args() -> Args {
         bench_out: None,
         budget_secs: None,
         replay: None,
-        cluster_faults: false,
         aggregates: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -107,10 +101,6 @@ fn parse_args() -> Args {
                 args.replay = Some(value(i));
                 i += 2;
             }
-            "--cluster-faults" => {
-                args.cluster_faults = true;
-                i += 1;
-            }
             "--aggregates" => {
                 args.aggregates = true;
                 i += 1;
@@ -127,15 +117,14 @@ fn parse_args() -> Args {
 /// The one mode driver: the case loop with its `--budget-secs` cut-off, the
 /// summary line, the `--bench-out` JSON and the exit code. `label` follows
 /// `difftest` in the summary line, `bench` names the JSON, `failures` is
-/// what both call a failed case, `throughput` says whether the JSON carries
-/// `cases_per_sec`. `run_case` runs one case into `state`, prints its
-/// failure if any and returns whether it failed; `finish` gives the middle
-/// of the summary line and the JSON fields between `cases` and the failure
-/// count. Stdout is deterministic for a given seed and case count.
+/// what both call a failed case. `run_case` runs one case into `state`,
+/// prints its failure if any and returns whether it failed; `finish` gives
+/// the middle of the summary line and the JSON fields between `cases` and
+/// the failure count. Stdout is deterministic for a given seed and case
+/// count.
 fn drive<S>(
     args: &Args,
     [label, bench, failures]: [&str; 3],
-    throughput: bool,
     mut state: S,
     mut run_case: impl FnMut(&mut S, u64) -> bool,
     finish: impl FnOnce(&S) -> (String, Vec<(&'static str, u64)>),
@@ -168,52 +157,14 @@ fn drive<S>(
             let _ = write!(json, ",\n  \"{key}\": {value}");
         }
         let _ = write!(json, ",\n  \"elapsed_secs\": {elapsed:.3}");
-        if throughput {
-            let rate = if elapsed > 0.0 { cases_run as f64 / elapsed } else { 0.0 };
-            let _ = write!(json, ",\n  \"cases_per_sec\": {rate:.2}");
-        }
+        let rate = if elapsed > 0.0 { cases_run as f64 / elapsed } else { 0.0 };
+        let _ = write!(json, ",\n  \"cases_per_sec\": {rate:.2}");
         json.push_str("\n}\n");
         if let Err(e) = std::fs::write(out, json) {
             eprintln!("cannot write {out}: {e}");
         }
     }
     std::process::exit(i32::from(failed > 0));
-}
-
-/// Prints a case's disagreement, if any; returns whether there was one.
-fn report(case: u64, disagreement: &Option<String>) -> bool {
-    if let Some(d) = disagreement {
-        println!("case {case}: FAIL {d}");
-    }
-    disagreement.is_some()
-}
-
-/// The `--cluster-faults` mode: seeded fault schedules against the
-/// replicated cluster, checked against the oracle's partial-results
-/// contract (see [`difftest::cluster_faults`]).
-fn run_cluster_faults(args: &Args) -> ! {
-    drive(
-        args,
-        [" cluster-faults", "cluster_faults", "disagreements"],
-        false,
-        difftest::cluster_faults::Summary::default(),
-        |summary, case| {
-            let outcome = difftest::cluster_faults::run_case(args.seed, case);
-            summary.absorb(case, &outcome);
-            report(case, &outcome.disagreement)
-        },
-        |s| {
-            let fields = vec![
-                ("faults_injected", s.faults_injected),
-                ("fallbacks", s.fallbacks),
-                ("retries", s.retries),
-                ("ingests_aborted", s.ingests_aborted),
-                ("partials", s.partials),
-            ];
-            let middle: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            (middle.join(" "), fields)
-        },
-    )
 }
 
 /// The `--aggregates` mode: aggregate verbs over generated logs, every
@@ -223,12 +174,14 @@ fn run_aggregates(args: &Args) -> ! {
     drive(
         args,
         [" aggregates", "aggregates", "disagreements"],
-        true,
         difftest::aggregates::Summary::default(),
         |summary, case| {
             let outcome = difftest::aggregates::run_case(args.seed, case, &args.threads);
             summary.absorb(&outcome);
-            report(case, &outcome.disagreement)
+            if let Some(d) = &outcome.disagreement {
+                println!("case {case}: FAIL {d}");
+            }
+            outcome.disagreement.is_some()
         },
         |s| {
             let join = |m: &std::collections::BTreeMap<&str, u64>| {
@@ -290,7 +243,7 @@ fn run_queries(args: &Args, harness: &Harness) -> ! {
         }
         true
     };
-    drive(args, ["", "difftest", "failures"], true, (), run_case, |()| {
+    drive(args, ["", "difftest", "failures"], (), run_case, |()| {
         let middle = format!(
             "engines={} threads={:?} baselines={}",
             difftest::harness::engine_matrix().len(),
@@ -303,9 +256,6 @@ fn run_queries(args: &Args, harness: &Harness) -> ! {
 
 fn main() {
     let args = parse_args();
-    if args.cluster_faults {
-        run_cluster_faults(&args);
-    }
     if args.aggregates {
         run_aggregates(&args);
     }

@@ -26,14 +26,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The `pool.queue_depth` gauge: items not yet claimed off the work
-/// cursor. Observable live via `loggrep serve-metrics` while a parallel
-/// stage runs.
+/// cursor. Observable via `--trace`, which prints it in the trace footer.
 fn queue_depth_gauge() -> &'static telemetry::Gauge {
     static G: OnceLock<&'static telemetry::Gauge> = OnceLock::new();
     G.get_or_init(|| telemetry::gauge("pool.queue_depth"))
@@ -204,109 +202,10 @@ impl Pool {
     }
 }
 
-/// A bounded multi-producer FIFO queue.
-///
-/// The admission-control half of the pool crate: producers `try_push` and
-/// get an immediate `Err` (with their item back) once the queue is at
-/// capacity, so callers can translate fullness into backpressure instead
-/// of unbounded buffering. Std-only, mutex-based — the queues guard
-/// admission decisions, not hot-loop item handoff.
-///
-/// # Examples
-///
-/// ```
-/// let q = pool::BoundedQueue::new(2);
-/// assert_eq!(q.try_push(1), Ok(1));
-/// assert_eq!(q.try_push(2), Ok(2));
-/// assert_eq!(q.try_push(3), Err(3)); // full: item handed back
-/// assert_eq!(q.pop(), Some(1));
-/// ```
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    capacity: usize,
-    items: Mutex<VecDeque<T>>,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            items: Mutex::new(VecDeque::with_capacity(capacity)),
-        }
-    }
-
-    /// Enqueues `item`, returning the new depth, or hands the item back
-    /// when the queue is full.
-    pub fn try_push(&self, item: T) -> Result<usize, T> {
-        let mut items = self.items.lock().unwrap_or_else(|e| e.into_inner());
-        if items.len() >= self.capacity {
-            return Err(item);
-        }
-        items.push_back(item);
-        Ok(items.len())
-    }
-
-    /// Dequeues the oldest item, if any.
-    pub fn pop(&self) -> Option<T> {
-        self.items
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-    }
-
-    /// Current depth.
-    pub fn len(&self) -> usize {
-        self.items.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drops every queued item.
-    pub fn clear(&self) {
-        self.items.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn bounded_queue_enforces_capacity_fifo() {
-        let q = BoundedQueue::new(3);
-        assert_eq!(q.capacity(), 3);
-        assert!(q.is_empty());
-        assert_eq!(q.try_push("a"), Ok(1));
-        assert_eq!(q.try_push("b"), Ok(2));
-        assert_eq!(q.try_push("c"), Ok(3));
-        assert_eq!(q.try_push("d"), Err("d"));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.try_push("d"), Ok(3));
-        assert_eq!(q.pop(), Some("b"));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn bounded_queue_zero_capacity_is_one() {
-        let q = BoundedQueue::new(0);
-        assert_eq!(q.capacity(), 1);
-        assert_eq!(q.try_push(7), Ok(1));
-        assert_eq!(q.try_push(8), Err(8));
-    }
 
     #[test]
     fn map_preserves_order() {

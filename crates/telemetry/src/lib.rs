@@ -25,11 +25,8 @@
 //!   [`export`] module renders a snapshot as aligned text or JSON without
 //!   any serialization dependency.
 //! * **Deep observability is layered on top.** The [`journal`] records
-//!   span begin/end edges and counter deltas into per-thread ring buffers
-//!   (exportable as Chrome trace-event JSON or collapsed stacks), the
-//!   [`prometheus`] module renders snapshots in text exposition format,
-//!   and [`http::MetricsServer`] serves `/metrics`, `/healthz`, and
-//!   `/trace/last.json` over a std-only TCP listener.
+//!   span begin/end edges and counter deltas into per-thread ring buffers,
+//!   exportable as Chrome trace-event JSON or collapsed stacks.
 //!
 //! # Example
 //!
@@ -50,23 +47,19 @@
 #![deny(missing_docs)]
 
 pub mod export;
-pub mod http;
 pub mod journal;
 pub mod json;
 mod metrics;
-pub mod prometheus;
 mod registry;
 mod span;
 
 pub use export::{export_json, export_text, export_trace_text};
-pub use http::{MetricsServer, SnapshotProvider};
 pub use journal::{
     clear_journal, current_trace_id, export_chrome_trace, export_collapsed, journal_enabled,
     journal_events, mark, set_journal_enabled, trace_scope, trace_scope_with, EventKind,
     TraceEvent, TraceScope,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use prometheus::render as export_prometheus;
 pub use registry::{counter, gauge, histogram, reset, snapshot, Snapshot};
 pub use span::{context, span, span_path, Context, Span};
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: release build, one static-analysis run, the workspace test suite
 # at two worker-pool sizes, clippy with warnings denied, the benchmark
-# package's own tests, the three differential-fuzzing smokes (the line and
-# aggregate smokes also on a seed that rotates with HEAD) and (where
-# installed) Miri. No step measures performance: `suite` (BENCHMARK.json)
-# does, as parent/change pairs. The only files under version control a run
-# rewrites are BENCH_{lint,difftest,aggregates,cluster_faults}.json. Run
+# package's own tests, the two differential-fuzzing smokes (each also on a
+# seed that rotates with HEAD) and (where installed) Miri. No step measures
+# performance: `suite` (BENCHMARK.json) does, as parent/change pairs. The
+# only files under version control a run rewrites are
+# BENCH_{lint,difftest,aggregates}.json. Run
 # from anywhere; operates on the repository this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -74,17 +74,6 @@ echo "ci: rotating aggregates seed ${rotating_seed}"
 ./target/release/difftest --aggregates --seed "$rotating_seed" --cases 60 \
     --budget-secs 120
 
-# Cluster-under-faults oracle smoke: bounded seeded sweeps where each case
-# ingests a generated log into a replicated cluster over a seeded fault
-# schedule (drops, slow nodes, crashes, partitions) and checks the
-# partial-results contract against the naive oracle. Fault decisions are a
-# pure function of the seed and all time is virtual, so the runs are
-# deterministic and need no ABBA/median timing estimators (nothing here is
-# wall-clock-sensitive). BENCH_cluster_faults.json records cases run,
-# faults injected, fallbacks taken, and (required zero) disagreements.
-./target/release/difftest --cluster-faults --seed 5 --cases 40 \
-    --budget-secs 120 --bench-out BENCH_cluster_faults.json
-
 # Optional: run the tiny roundtrip under Miri when a nightly toolchain
 # with Miri is installed; skip gracefully (with a note) everywhere else.
 if command -v rustup >/dev/null 2>&1 \
@@ -100,5 +89,5 @@ fi
 # tooling and the shells around the engine, and the engine's option count.
 echo "ci: engine src lines:  $(find crates/{loggrep,codec,strsearch,logparse}/src -name '*.rs' | xargs wc -l | tail -n 1)"
 echo "ci: tooling src lines: $(find crates/{lint,difftest,telemetry,bench}/src suite/src -name '*.rs' | xargs wc -l | tail -n 1)"
-echo "ci: shells src lines:  $(find crates/{cli,cluster,baselines,pool,workloads}/src -name '*.rs' | xargs wc -l | tail -n 1)"
+echo "ci: shells src lines:  $(find crates/{cli,baselines,pool,workloads}/src -name '*.rs' | xargs wc -l | tail -n 1)"
 echo "ci: LogGrepConfig fields: $(sed -n '/^pub struct LogGrepConfig {/,/^}/p' crates/loggrep/src/config.rs | grep -c '^    pub ')"
