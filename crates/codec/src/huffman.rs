@@ -170,8 +170,8 @@ const PRIMARY_BITS: u32 = 10;
 
 /// Decoder built from canonical code lengths.
 ///
-/// Codes of up to [`PRIMARY_BITS`] bits decode with one table lookup on the
-/// next [`PRIMARY_BITS`] bits of the stream: an entry is `symbol << 4 | len`
+/// Codes of up to `PRIMARY_BITS` bits decode with one table lookup on the
+/// next `PRIMARY_BITS` bits of the stream: an entry is `symbol << 4 | len`
 /// and every slot whose low `len` bits spell the code holds it. Longer
 /// codes (and bit patterns no code claims) leave their slots zero and fall
 /// back to the classic canonical loop (`first_code`/`first_symbol` per

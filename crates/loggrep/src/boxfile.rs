@@ -565,7 +565,7 @@ impl CapsuleBox {
             }
         }
         // Groups partition the block's lines, so their row counts must sum
-        // to `total_lines`; `Archive::line_index` sizes its table by it.
+        // to `total_lines`.
         if rows_total != u64::from(total_lines) {
             return Err(Error::Corrupt("group rows do not sum to total_lines".into()));
         }
@@ -659,8 +659,6 @@ pub struct Archive {
     pub(crate) cache: crate::query::cache::QueryCache,
     pub(crate) use_query_cache: bool,
     pub(crate) use_stamps: bool,
-    /// Lazily built map: line number → (group id, group row).
-    line_index: std::sync::OnceLock<Vec<(u32, u32)>>,
     /// Decompressed Capsules kept between queries. A query *moves* an entry
     /// out while it runs and back when it ends (see `query::exec::Payloads`),
     /// so the lock is held for a table operation only — never across a
@@ -679,10 +677,9 @@ impl Archive {
         open_archives_gauge().add(1);
         Self {
             boxed,
-            cache: crate::query::cache::QueryCache::new(),
+            cache: crate::query::cache::QueryCache::default(),
             use_query_cache: true,
             use_stamps: true,
-            line_index: std::sync::OnceLock::new(),
             resident: Mutex::default(),
         }
     }
@@ -765,22 +762,6 @@ impl Archive {
         self.resident.lock().map_or(0, |table| table.evictions)
     }
 
-    /// The line-number → (group, row) map, built on first use.
-    pub(crate) fn line_index(&self) -> &[(u32, u32)] {
-        self.line_index.get_or_init(|| {
-            // lint:allow(no-untrusted-prealloc) — from_bytes enforces Σ group rows == total_lines, and every row was either read from the body (explicit columns) or filled under total_lines <= MAX_IMPLIED_LINES_PER_BYTE × body length (implied group), so this is bounded by the bytes opened
-            let mut index = vec![(u32::MAX, u32::MAX); self.boxed.total_lines as usize];
-            for (gid, g) in self.boxed.groups.iter().enumerate() {
-                for (row, &lineno) in g.line_numbers.iter().enumerate() {
-                    if let Some(slot) = index.get_mut(lineno as usize) {
-                        *slot = (gid as u32, row as u32);
-                    }
-                }
-            }
-            index
-        })
-    }
-
     /// Disables/enables everything an archive remembers between queries —
     /// the query cache and the resident Capsules ("w/o cache" ablation).
     pub fn set_query_cache(&mut self, on: bool) {
@@ -798,11 +779,6 @@ impl Archive {
     /// Does nothing: reads are serial per block; kept for the benchmark
     /// package, remove with its call sites.
     pub fn set_threads(&mut self, _threads: usize) {}
-
-    /// Caps the query cache at `entries` entries (LRU; `0` = unbounded).
-    pub fn set_query_cache_entries(&mut self, entries: usize) {
-        self.cache.set_capacity(entries);
-    }
 
     /// Drops the query-result cache and every resident Capsule, so
     /// benchmarks can re-time a query cold.
@@ -862,17 +838,11 @@ fn strictly_ascending(values: &[u32]) -> bool {
 /// with `rows` to `total_lines` before this runs, so more unclaimed lines
 /// than `rows` can only mean two groups claim one line.
 fn unclaimed_lines(groups: &[GroupMeta], total_lines: u32, rows: u32) -> Result<Vec<u32>> {
-    let lines =
-        usize::try_from(total_lines).map_err(|_| Error::Corrupt("line count overflow".into()))?;
-    let mut taken = vec![0u64; lines.div_ceil(64)];
-    for &line in groups.iter().flat_map(|g| &g.line_numbers) {
-        if let Some(word) = taken.get_mut(line as usize / 64) {
-            *word |= 1 << (line % 64);
-        }
-    }
+    let claimed = groups.iter().flat_map(|g| g.line_numbers.iter().copied());
+    let mut taken = line_bitmap(claimed, total_lines)?;
     // The lines past the end of the last word are no one's to fill.
-    if let (Some(last), 1..) = (taken.last_mut(), lines % 64) {
-        *last |= u64::MAX << (lines % 64);
+    if let (Some(last), 1..) = (taken.last_mut(), total_lines % 64) {
+        *last |= u64::MAX << (total_lines % 64);
     }
     let free: usize = taken.iter().map(|w| w.count_zeros() as usize).sum();
     if free != rows as usize {
@@ -881,6 +851,24 @@ fn unclaimed_lines(groups: &[GroupMeta], total_lines: u32, rows: u32) -> Result<
     let mut out = Vec::with_capacity(free);
     push_unclaimed(&taken, &mut out);
     Ok(out)
+}
+
+/// A bitset over the lines `0..total_lines`, one `u64` word per 64 lines,
+/// with the bit of each of `lines` set (a line past the last word is
+/// ignored).
+pub(crate) fn line_bitmap(
+    lines: impl IntoIterator<Item = u32>,
+    total_lines: u32,
+) -> Result<Vec<u64>> {
+    let total =
+        usize::try_from(total_lines).map_err(|_| Error::Corrupt("line count overflow".into()))?;
+    let mut words = vec![0u64; total.div_ceil(64)];
+    for line in lines {
+        if let Some(word) = words.get_mut(line as usize / 64) {
+            *word |= 1 << (line % 64);
+        }
+    }
+    Ok(words)
 }
 
 /// `SET_BITS[b]`: the positions of byte `b`'s set bits, ascending, padded

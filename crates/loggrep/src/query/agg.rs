@@ -1,7 +1,7 @@
 //! Aggregate execution on compressed capsules: the aggregate sink of the
 //! query pipeline (filter → project → aggregate).
 //!
-//! The filter stage produces a [`Selection`] (per-group row sets, or "all
+//! The filter stage produces a `Selection` (per-group row sets, or "all
 //! rows"); the sink then pushes each [`AggSpec`] verb down to the cheapest
 //! storage layer that can answer it:
 //!

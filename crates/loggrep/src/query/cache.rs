@@ -7,22 +7,23 @@
 //! returned for an aggregate over the same filter, or vice versa, no
 //! matter how the raw key strings collide.
 //!
-//! The cache is **bounded**: once it holds `capacity` entries, storing a
+//! The cache is **bounded**: once it holds [`CAPACITY`] entries, storing a
 //! new result evicts the least-recently-used one (refining sessions touch a
 //! handful of commands; an unbounded map would grow with every distinct
 //! query ever run against a long-lived archive). Evictions are counted
 //! locally and on the `query.cache.evictions` telemetry counter.
 
 use crate::query::agg::AggResult;
+use crate::rowset::RowSet;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Default entry cap (see [`crate::Archive::set_query_cache_entries`]).
-pub const DEFAULT_CAPACITY: usize = 256;
+/// Entries one archive's cache holds before it evicts.
+const CAPACITY: usize = 256;
 
 /// The `query.cache.entries` gauge: live entries summed across every
 /// cache in the process (each cache adds on insert and subtracts on
-/// evict/clear/drop), so `/metrics` shows total resident results.
+/// evict/clear/drop).
 fn entries_gauge() -> &'static telemetry::Gauge {
     static G: std::sync::OnceLock<&'static telemetry::Gauge> = std::sync::OnceLock::new();
     G.get_or_init(|| telemetry::gauge("query.cache.entries"))
@@ -43,7 +44,8 @@ enum Key {
 /// A cached result, matching its [`Key`]'s variant.
 #[derive(Debug, Clone)]
 enum Cached {
-    Lines(Vec<u32>),
+    /// The filter's matching rows, one set per group in group order.
+    Lines(Vec<RowSet>),
     Agg(AggResult),
 }
 
@@ -54,79 +56,40 @@ struct Entry {
     last_used: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     map: HashMap<Key, Entry>,
     /// Monotonic logical clock driving LRU order.
     tick: u64,
-    /// Maximum entries before eviction; 0 = unbounded.
-    capacity: usize,
-    hits: u64,
-    misses: u64,
     evictions: u64,
 }
 
 /// A thread-safe, LRU-bounded query-result cache keyed by the raw query
 /// text.
-#[derive(Debug)]
-pub struct QueryCache {
+#[derive(Debug, Default)]
+pub(crate) struct QueryCache {
     inner: Mutex<Inner>,
 }
 
-impl Default for QueryCache {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-}
-
 impl QueryCache {
-    /// Creates an empty cache with the default entry cap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache holding at most `capacity` entries
-    /// (`0` = unbounded).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-                capacity,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-        }
-    }
-
-    /// Changes the entry cap, evicting LRU entries if now over it.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.inner.lock();
-        inner.capacity = capacity;
-        while over_capacity(&inner) {
-            evict_lru(&mut inner);
-        }
-    }
-
-    /// Looks up a prior line-query result (cloned line-number list).
-    pub fn get(&self, query: &str) -> Option<Vec<u32>> {
+    /// Looks up a prior line query's matching rows (cloned).
+    pub(crate) fn get(&self, query: &str) -> Option<Vec<RowSet>> {
         match self.get_value(&Key::Lines(query.to_string()))? {
-            Cached::Lines(lines) => Some(lines),
+            Cached::Lines(rows) => Some(rows),
             // Unreachable: a `Key::Lines` entry always stores
             // `Cached::Lines`. Fail as a miss rather than panic.
             Cached::Agg(_) => None,
         }
     }
 
-    /// Stores a line-query result, evicting the least-recently-used entry
-    /// if full.
-    pub fn put(&self, query: &str, lines: Vec<u32>) {
-        self.put_value(Key::Lines(query.to_string()), Cached::Lines(lines));
+    /// Stores a line query's matching rows, evicting the
+    /// least-recently-used entry if full.
+    pub(crate) fn put(&self, query: &str, rows: Vec<RowSet>) {
+        self.put_value(Key::Lines(query.to_string()), Cached::Lines(rows));
     }
 
     /// Looks up a prior aggregate result.
-    pub fn get_agg(&self, key: &str) -> Option<AggResult> {
+    pub(crate) fn get_agg(&self, key: &str) -> Option<AggResult> {
         match self.get_value(&Key::Agg(key.to_string()))? {
             Cached::Agg(agg) => Some(agg),
             // Unreachable: see [`QueryCache::get`].
@@ -136,7 +99,7 @@ impl QueryCache {
 
     /// Stores an aggregate result, evicting the least-recently-used entry
     /// if full.
-    pub fn put_agg(&self, key: &str, agg: AggResult) {
+    pub(crate) fn put_agg(&self, key: &str, agg: AggResult) {
         self.put_value(Key::Agg(key.to_string()), Cached::Agg(agg));
     }
 
@@ -144,18 +107,9 @@ impl QueryCache {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let value = entry.value.clone();
-                inner.hits += 1;
-                Some(value)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        let entry = inner.map.get_mut(key)?;
+        entry.last_used = tick;
+        Some(entry.value.clone())
     }
 
     fn put_value(&self, key: Key, value: Cached) {
@@ -167,7 +121,7 @@ impl QueryCache {
             entry.last_used = tick;
             return;
         }
-        if inner.capacity > 0 && inner.map.len() >= inner.capacity {
+        if inner.map.len() >= CAPACITY {
             evict_lru(&mut inner);
         }
         inner.map.insert(
@@ -180,34 +134,21 @@ impl QueryCache {
         entries_gauge().add(1);
     }
 
-    /// `(hits, misses)` counters.
-    pub fn counters(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.hits, inner.misses)
-    }
-
     /// Number of entries evicted by the LRU bound so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.inner.lock().evictions
     }
 
     /// Current number of cached entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().map.len()
     }
 
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all entries and counters (the capacity is kept).
-    pub fn clear(&self) {
+    /// Drops all entries and the eviction count.
+    pub(crate) fn clear(&self) {
         let mut inner = self.inner.lock();
         entries_gauge().add(-(inner.map.len() as i64));
         inner.map.clear();
-        inner.hits = 0;
-        inner.misses = 0;
         inner.evictions = 0;
     }
 }
@@ -221,12 +162,8 @@ impl Drop for QueryCache {
     }
 }
 
-fn over_capacity(inner: &Inner) -> bool {
-    inner.capacity > 0 && inner.map.len() > inner.capacity
-}
-
 /// Removes the least-recently-used entry. O(entries), which is fine at the
-/// small caps this cache runs with.
+/// small cap this cache runs with.
 fn evict_lru(inner: &mut Inner) {
     let victim = inner
         .map
@@ -245,77 +182,60 @@ fn evict_lru(inner: &mut Inner) {
 mod tests {
     use super::*;
 
+    fn rows(v: &[u32]) -> Vec<RowSet> {
+        vec![RowSet::from_sorted(v.to_vec())]
+    }
+
+    /// A cache filled to the cap with `q0`, `q1`, …, stored in that order.
+    fn full() -> QueryCache {
+        let c = QueryCache::default();
+        for i in 0..CAPACITY as u32 {
+            c.put(&format!("q{i}"), rows(&[i]));
+        }
+        c
+    }
+
     #[test]
     fn hit_and_miss() {
-        let c = QueryCache::new();
+        let c = QueryCache::default();
         assert_eq!(c.get("q"), None);
-        c.put("q", vec![1, 2, 3]);
-        assert_eq!(c.get("q"), Some(vec![1, 2, 3]));
-        assert_eq!(c.counters(), (1, 1));
+        c.put("q", rows(&[1, 2, 3]));
+        assert_eq!(c.get("q"), Some(rows(&[1, 2, 3])));
         c.clear();
         assert_eq!(c.get("q"), None);
     }
 
     #[test]
     fn lru_eviction_fires_at_the_cap() {
-        let c = QueryCache::with_capacity(2);
-        c.put("a", vec![1]);
-        c.put("b", vec![2]);
+        let c = full();
         assert_eq!(c.evictions(), 0);
-        // Touch "a" so "b" becomes the LRU victim.
-        assert_eq!(c.get("a"), Some(vec![1]));
-        c.put("c", vec![3]);
+        // Touch "q0" so "q1" becomes the LRU victim.
+        assert_eq!(c.get("q0"), Some(rows(&[0])));
+        c.put("new", rows(&[9]));
         assert_eq!(c.evictions(), 1);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get("b"), None, "LRU entry evicted");
-        assert_eq!(c.get("a"), Some(vec![1]));
-        assert_eq!(c.get("c"), Some(vec![3]));
+        assert_eq!(c.len(), CAPACITY);
+        assert_eq!(c.get("q1"), None, "LRU entry evicted");
+        assert_eq!(c.get("q0"), Some(rows(&[0])));
+        assert_eq!(c.get("new"), Some(rows(&[9])));
     }
 
     #[test]
     fn replacing_an_entry_does_not_evict() {
-        let c = QueryCache::with_capacity(2);
-        c.put("a", vec![1]);
-        c.put("b", vec![2]);
-        c.put("a", vec![9]);
+        let c = full();
+        c.put("q0", rows(&[9]));
         assert_eq!(c.evictions(), 0);
-        assert_eq!(c.get("a"), Some(vec![9]));
-        assert_eq!(c.get("b"), Some(vec![2]));
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_down() {
-        let c = QueryCache::with_capacity(8);
-        for i in 0..8 {
-            c.put(&format!("q{i}"), vec![i]);
-        }
-        c.set_capacity(3);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.evictions(), 5);
-        // The three most recently stored survive.
-        for i in 5..8 {
-            assert_eq!(c.get(&format!("q{i}")), Some(vec![i]), "q{i}");
-        }
+        assert_eq!(c.get("q0"), Some(rows(&[9])));
+        assert_eq!(c.get("q1"), Some(rows(&[1])));
     }
 
     #[test]
     fn line_and_agg_key_spaces_never_cross() {
-        let c = QueryCache::new();
-        c.put("k", vec![1, 2]);
+        let c = QueryCache::default();
+        c.put("k", rows(&[1, 2]));
         assert_eq!(c.get_agg("k"), None, "line entry must not answer an aggregate");
         c.put_agg("k", AggResult::Count(7));
-        assert_eq!(c.get("k"), Some(vec![1, 2]));
+        assert_eq!(c.get("k"), Some(rows(&[1, 2])));
         assert_eq!(c.get_agg("k"), Some(AggResult::Count(7)));
         assert_eq!(c.len(), 2, "same string, two distinct entries");
-    }
-
-    #[test]
-    fn zero_capacity_is_unbounded() {
-        let c = QueryCache::with_capacity(0);
-        for i in 0..1000u32 {
-            c.put(&format!("q{i}"), vec![i]);
-        }
-        assert_eq!(c.len(), 1000);
-        assert_eq!(c.evictions(), 0);
     }
 }

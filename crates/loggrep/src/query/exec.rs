@@ -1,7 +1,7 @@
 //! Query execution over a CapsuleBox (§5): Capsule locating with runtime
 //! patterns, stamp filtering, fixed-length matching, and reconstruction.
 
-use crate::boxfile::{Archive, Loaded};
+use crate::boxfile::{line_bitmap, Archive, Loaded};
 use crate::capsule::{CapsuleMeta, Layout};
 use crate::error::{Error, Result};
 use crate::extract::nominal::{format_index, parse_index};
@@ -60,7 +60,11 @@ impl Archive {
         // composites keep nothing.
         ctx.keep_verified = matches!(query.expr, Expr::Str(_));
 
-        let line_numbers = if self.use_query_cache {
+        let eval = |ctx: &mut ExecCtx<'_>| {
+            let _span = telemetry::span("eval");
+            ctx.eval_expr(&query.expr)
+        };
+        let selected = if self.use_query_cache {
             match self.cache.get(command) {
                 Some(cached) => {
                     ctx.stats.cache_hit = true;
@@ -69,18 +73,18 @@ impl Archive {
                 }
                 None => {
                     telemetry::counter!("query.cache.misses", 1);
-                    let lines = ctx.eval_expr(&query.expr)?.into_vec();
-                    self.cache.put(command, lines.clone());
-                    lines
+                    let rows = eval(&mut ctx)?;
+                    self.cache.put(command, rows.clone());
+                    rows
                 }
             }
         } else {
-            ctx.eval_expr(&query.expr)?.into_vec()
+            eval(&mut ctx)?
         };
 
-        let lines = {
+        let (line_numbers, lines) = {
             let _span = telemetry::span("reconstruct");
-            ctx.reconstruct(&line_numbers)?
+            ctx.reconstruct(&selected)?
         };
         let mut stats = ctx.take_stats();
         {
@@ -100,8 +104,13 @@ impl Archive {
     /// path, used by tests and the `ggrep`-style fallback).
     pub fn reconstruct_all(&self) -> Result<Vec<Vec<u8>>> {
         let mut ctx = ExecCtx::new(self);
-        let all: Vec<u32> = (0..self.boxed.total_lines).collect();
-        ctx.reconstruct(&all)
+        let all: Vec<RowSet> = self
+            .boxed
+            .groups
+            .iter()
+            .map(|g| RowSet::all(g.rows()))
+            .collect();
+        Ok(ctx.reconstruct(&all)?.1)
     }
 }
 
@@ -287,20 +296,19 @@ impl<'a> ExecCtx<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Expression evaluation (global line-number sets).
+    // Expression evaluation (per-group row sets).
     // ------------------------------------------------------------------
 
-    /// Evaluates the whole expression to global line numbers.
+    /// Evaluates the whole expression to the matching rows of each group,
+    /// one set per group in group order.
     ///
-    /// Internally everything is per-group: a line belongs to exactly one
-    /// group, so `and`/`or`/`not` distribute over groups. That enables the
-    /// progressive-matching optimization (as in CLP's keyword chaining): the
-    /// right side of an `and`/`not` is only evaluated on groups where the
-    /// left side still has candidate rows.
-    fn eval_expr(&mut self, expr: &Expr) -> Result<RowSet> {
-        let _span = telemetry::span("eval");
-        let selection = self.filter_selection(Some(expr))?;
-        self.selection_lines(&selection)
+    /// A line belongs to exactly one group, so `and`/`or`/`not` distribute
+    /// over groups. That enables the progressive-matching optimization (as
+    /// in CLP's keyword chaining): the right side of an `and`/`not` is only
+    /// evaluated on groups where the left side still has candidate rows.
+    fn eval_expr(&mut self, expr: &Expr) -> Result<Vec<RowSet>> {
+        let ngroups = self.archive.boxed.groups.len();
+        self.eval_expr_groups(expr, &vec![false; ngroups])
     }
 
     /// The filter stage of the pipeline: evaluates an optional filter
@@ -309,32 +317,8 @@ impl<'a> ExecCtx<'a> {
     pub(crate) fn filter_selection(&mut self, expr: Option<&Expr>) -> Result<Selection> {
         match expr {
             None => Ok(Selection::All),
-            Some(expr) => {
-                let ngroups = self.archive.boxed.groups.len();
-                Ok(Selection::Rows(
-                    self.eval_expr_groups(expr, &vec![false; ngroups])?,
-                ))
-            }
+            Some(expr) => Ok(Selection::Rows(self.eval_expr(expr)?)),
         }
-    }
-
-    /// Maps a [`Selection`] to global line numbers (the line-set sink of
-    /// the pipeline).
-    fn selection_lines(&self, selection: &Selection) -> Result<RowSet> {
-        let per_group = match selection {
-            Selection::All => return Ok(RowSet::all(self.archive.boxed.total_lines)),
-            Selection::Rows(per_group) => per_group,
-        };
-        let mut global = Vec::new();
-        for (rows, group) in per_group.iter().zip(&self.archive.boxed.groups) {
-            for r in rows.iter() {
-                let line = group.line_numbers.get(r as usize).copied().ok_or_else(|| {
-                    Error::Corrupt("matched row outside group line table".into())
-                })?;
-                global.push(line);
-            }
-        }
-        Ok(RowSet::from_unsorted(global))
     }
 
     fn eval_expr_groups(&mut self, expr: &Expr, skip: &[bool]) -> Result<Vec<RowSet>> {
@@ -629,68 +613,115 @@ impl<'a> ExecCtx<'a> {
     // Reconstruction.
     // ------------------------------------------------------------------
 
-    /// Reconstructs the given global line numbers (ascending, as every
-    /// caller has them), in that order.
+    /// Renders the selected rows (one set per group, in group order) and
+    /// returns them in original log order with their line numbers.
     ///
-    /// Groups hold their rows in original order, so entries of one group are
-    /// naturally ordered (each group's outlier cursors only move forward);
-    /// across groups the stored line numbers (logical timestamps) restore
-    /// the global order, as in §3's Reconstruction. A line verification
-    /// kept is moved into the output rather than rendered again; each
-    /// group's kept lines are walked with a forward cursor.
-    fn reconstruct(&mut self, line_numbers: &[u32]) -> Result<Vec<Vec<u8>>> {
-        let mut kept = std::mem::take(&mut self.kept);
-        let mut cursors = vec![0usize; kept.len()];
-        let mut reused = 0usize;
-        let index = self.archive.line_index();
+    /// The stored line numbers (logical timestamps) restore the global
+    /// order, as in §3's Reconstruction, with neither a sort nor a
+    /// per-archive table. One group's rows are already in line order; when
+    /// the selection spans groups, a bitmap over the block's lines marks
+    /// each selected line, so a line's slot in the output is its rank —
+    /// the selected lines below it, a per-word prefix count plus a
+    /// popcount. Each group then renders its own rows in row order (its
+    /// column and outlier cursors only move forward) straight into their
+    /// slots. A line verification kept is moved into its slot rather
+    /// than rendered again, through a per-group cursor; a group whose rows
+    /// were all kept never compiles its ops.
+    fn reconstruct(&mut self, selected: &[RowSet]) -> Result<(Vec<u32>, Vec<Vec<u8>>)> {
         let groups = &self.archive.boxed.groups;
-        // One op list per group, compiled when its first rendered line
-        // comes up.
-        let mut compiled: Vec<Option<Vec<Op<'_>>>> = Vec::new();
-        compiled.resize_with(groups.len(), || None);
-        let mut line = Vec::new();
-        let mut out = Vec::with_capacity(line_numbers.len());
-        for &lineno in line_numbers {
-            let &(gid, row) = index
-                .get(lineno as usize)
-                .ok_or_else(|| Error::Corrupt("line number out of range".into()))?;
-            // A line no group claims is indexed as group `u32::MAX`, which
-            // is past every group too.
-            let (Some(slot), Some(group)) =
-                (compiled.get_mut(gid as usize), groups.get(gid as usize))
-            else {
-                return Err(Error::Corrupt("line number missing from groups".into()));
-            };
-            if let (Some(lines), Some(cursor)) =
-                (kept.get_mut(gid as usize), cursors.get_mut(gid as usize))
+        let mut hits = 0usize;
+        for (rows, group) in selected.iter().zip(groups) {
+            if rows
+                .as_slice()
+                .last()
+                .is_some_and(|&row| row >= group.rows())
             {
-                while lines.get(*cursor).is_some_and(|&(r, _)| r < row) {
-                    *cursor += 1;
+                return Err(Error::Corrupt(
+                    "matched row outside group line table".into(),
+                ));
+            }
+            hits += rows.len();
+        }
+        let spans_groups = selected
+            .iter()
+            .filter(|rows| !rows.is_empty())
+            .nth(1)
+            .is_some();
+        let (mut bitmap, mut below) = (Vec::new(), Vec::new());
+        if spans_groups {
+            let lines = selected.iter().zip(groups).flat_map(|(rows, group)| {
+                rows.iter()
+                    .filter_map(|row| group.line_numbers.get(row as usize).copied())
+            });
+            bitmap = line_bitmap(lines, self.archive.boxed.total_lines)?;
+            below.reserve_exact(bitmap.len());
+            let mut ranked = 0usize;
+            for word in &bitmap {
+                below.push(ranked);
+                ranked += word.count_ones() as usize;
+            }
+            // Two rows on one line set one bit between them.
+            if ranked != hits {
+                return Err(Error::Corrupt("two groups claim one line".into()));
+            }
+        }
+        // The output slot of a group's `nth` selected row, on line `line`.
+        let slot_of = |line: u32, nth: usize| {
+            if !spans_groups {
+                return Some(nth);
+            }
+            let word = line as usize / 64;
+            let bits = bitmap.get(word)? & !(u64::MAX << (line % 64));
+            below.get(word)?.checked_add(bits.count_ones() as usize)
+        };
+
+        let mut kept = std::mem::take(&mut self.kept);
+        let mut reused = 0usize;
+        let mut numbers = vec![0u32; hits];
+        let mut out = vec![Vec::new(); hits];
+        let mut line = Vec::new();
+        for (gid, (rows, group)) in selected.iter().zip(groups).enumerate() {
+            let kept = kept.get_mut(gid).map_or(&mut [][..], Vec::as_mut_slice);
+            let mut cursor = 0usize;
+            let mut ops = None;
+            for (nth, row) in rows.iter().enumerate() {
+                let lineno = group.line_numbers.get(row as usize).copied();
+                let slot = lineno.and_then(|line| slot_of(line, nth));
+                let (Some(lineno), Some(number), Some(dest)) = (
+                    lineno,
+                    slot.and_then(|i| numbers.get_mut(i)),
+                    slot.and_then(|i| out.get_mut(i)),
+                ) else {
+                    return Err(Error::Corrupt("line number out of range".into()));
+                };
+                *number = lineno;
+                while kept.get(cursor).is_some_and(|&(r, _)| r < row) {
+                    cursor += 1;
                 }
-                if let Some((r, l)) = lines.get_mut(*cursor) {
+                if let Some((r, l)) = kept.get_mut(cursor) {
                     if *r == row {
-                        out.push(std::mem::take(l));
-                        *cursor += 1;
+                        *dest = std::mem::take(l);
+                        cursor += 1;
                         reused += 1;
                         continue;
                     }
                 }
+                let ops = match &mut ops {
+                    Some(ops) => ops,
+                    None => ops.insert(group_ops(&self.payloads, group)?),
+                };
+                line.clear();
+                for op in ops.iter_mut() {
+                    op.append(row, &mut line)?;
+                }
+                *dest = line.clone();
             }
-            let ops = match slot {
-                Some(ops) => ops,
-                None => slot.insert(group_ops(&self.payloads, group)?),
-            };
-            line.clear();
-            for op in ops {
-                op.append(row, &mut line)?;
-            }
-            out.push(line.clone());
         }
         if reused > 0 {
             self.stats.lines_reused += reused;
             telemetry::counter!("query.lines_reused", reused as u64);
         }
-        Ok(out)
+        Ok((numbers, out))
     }
 }
 

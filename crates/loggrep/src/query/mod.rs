@@ -1,7 +1,7 @@
 //! Query planning and execution (§5).
 
 pub mod agg;
-pub mod cache;
+pub(crate) mod cache;
 pub mod exec;
 pub mod explain;
 pub mod lang;

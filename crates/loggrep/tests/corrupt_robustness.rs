@@ -9,8 +9,9 @@
 //!    which sails past the checksum and exercises the structural
 //!    validation behind it — opening, decompressing every capsule and
 //!    querying must never panic, and a mutant that still opens must
-//!    report the original line count (`total_lines` is load-bearing for
-//!    the line index, so lying about it is not an acceptable outcome);
+//!    report the original line count (`total_lines` sizes the bitmap that
+//!    puts rendered lines back in order, so lying about it is not an
+//!    acceptable outcome);
 //! 4. **targeted lies** in exactly the fields the compiled renderer reads
 //!    per row — outlier rows, dictionary region widths, index digits,
 //!    Capsule payloads shorter than their group, Capsule row counts — each
@@ -21,7 +22,10 @@
 //!    open: an implied id past the group count, a wrong implied row count,
 //!    two groups claiming one line, and a tiny body claiming `u32::MAX`
 //!    lines are each a named `Error::Corrupt` at open; an implied catalog
-//!    box survives every cut and seeded flips like any other.
+//!    box survives every cut and seeded flips like any other. An explicit
+//!    box is not checked for a shared line at open: a read that selects
+//!    both claimants ends in the same named error, and one that selects a
+//!    single claimant answers with that group's own line.
 //!
 //! All randomness is a seeded xorshift, so failures reproduce exactly.
 
@@ -453,6 +457,54 @@ fn hostile_implied_boxes_end_in_typed_errors() {
     );
     assert_eq!(lying.implied_group(), Some(implied));
     refused("overlap", &lying.to_bytes(), &["two groups claim one line"]);
+}
+
+#[test]
+fn explicit_groups_sharing_a_line_never_answer_with_the_other_groups_line() {
+    let honest = LogGrep::new(LogGrepConfig::default())
+        .compress(&sample_log(240))
+        .unwrap();
+    assert_eq!(honest.implied_group(), None);
+    let owner = |line| {
+        honest
+            .groups
+            .iter()
+            .position(|g| g.line_numbers.contains(&line))
+            .unwrap()
+    };
+    let (a, b) = (owner(0), owner(1));
+    assert_ne!(a, b);
+    // Group `a` gives up line 0 and claims `b`'s line 1: the rows still
+    // sum to the line count and every column still ascends, so the box
+    // opens, with line 1 claimed twice and line 0 by no one.
+    let mut lying = honest.clone();
+    let lines = &mut lying.groups[a].line_numbers;
+    assert!(lines[0] == 0 && lines[1] > 1);
+    lines[0] = 1;
+    assert_eq!(lying.implied_group(), None);
+    let archive = Archive::from_bytes(&lying.to_bytes()).unwrap();
+
+    let corrupt = |what: &str, got: Result<Vec<Vec<u8>>, Error>| match got {
+        Err(Error::Corrupt(msg)) => assert_eq!(msg, "two groups claim one line", "{what}"),
+        Err(e) => panic!("{what}: {e}"),
+        Ok(lines) => panic!("{what}: answered {} lines", lines.len()),
+    };
+    // `blk_1700000` is only in `a`'s first row: whatever comes back
+    // holds the keyword.
+    match archive.query("blk_1700000") {
+        Ok(r) => {
+            for line in r.lines_utf8() {
+                assert!(line.contains("blk_1700000"), "answered `{line}`");
+            }
+        }
+        Err(e) => assert!(matches!(e, Error::Corrupt(_)), "{e}"),
+    }
+    // Selecting both claimants of line 1 is the shared line.
+    corrupt(
+        "both claimants",
+        archive.query("blk_1700000 or T101").map(|r| r.lines),
+    );
+    corrupt("reconstruct_all", archive.reconstruct_all());
 }
 
 #[test]

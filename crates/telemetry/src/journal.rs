@@ -10,7 +10,7 @@
 //!   (uncontended except while an exporter drains), so journaling adds a
 //!   short uncontended lock + one event per span edge, nothing global.
 //! * **Bounded.** Rings overwrite their oldest events past
-//!   [`ring_capacity`] events per thread — a long-running process keeps
+//!   [`set_ring_capacity`] events per thread — a long-running process keeps
 //!   the *recent* trace, never an unbounded log.
 //! * **Off by default.** A dedicated [`set_journal_enabled`] flag gates
 //!   recording (separately from the metrics flag, which gates span

@@ -4,7 +4,7 @@
 //! workspace: lock-free [`Counter`]s and [`Gauge`]s, power-of-two-bucket
 //! [`Histogram`]s for latencies and sizes, and RAII [`Span`] timers that
 //! aggregate hierarchically (`compress/extract/merge`, `query/plan`, ...)
-//! into a process-wide [`registry`].
+//! into a process-wide registry ([`snapshot`] reads it).
 //!
 //! # Design
 //!

@@ -100,7 +100,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Creates a standalone (unregistered) histogram. Most callers want
-    /// [`crate::histogram`], which registers a handle for snapshots; a
+    /// [`crate::histogram()`], which registers a handle for snapshots; a
     /// standalone histogram suits local one-shot aggregation (quantiles
     /// over a batch of sizes, say) without polluting the registry.
     pub const fn new() -> Self {
